@@ -34,6 +34,17 @@ OUT = os.path.join(ROOT, ".bench_build", "perfbench")
 BUILD_TIMEOUT_S = 700
 RUN_TIMEOUT_S = 175
 HEAP = "3g"
+# C1 only, compiling after a tenth of the default invocation counts. Under
+# the default tiered JIT, query latency keeps falling for 400 and more
+# queries (about 280 ms to 130 ms on rw50k-q1, 4-vCPU VM) as C2 compiles
+# Spark's per-query code, far longer than a run can warm up, so a run's
+# figures showed how far the JIT had got. With these flags it settles within
+# the warm-up. They compile more methods than C1's default 48 MB code cache
+# holds; when it fills, the JVM stops compiling and later code stays
+# interpreted, so the cache gets the tiered default's size. The parallel
+# collector runs no concurrent GC threads beside Spark's task threads.
+JVM_OPTS = ["-XX:TieredStopAtLevel=1", "-XX:CompileThresholdScaling=0.1",
+            "-XX:ReservedCodeCacheSize=240m", "-XX:+UseParallelGC"]
 
 # Module opens Spark needs on JDK 17 (the root build.sbt passes the same set).
 OPENS = [
@@ -87,7 +98,7 @@ def java(extra, workload, seed, seconds, trace):
     os.makedirs(os.path.join(OUT, "tmp"), exist_ok=True)
     with open(CLASSPATH) as fh:
         cp = fh.read().strip()
-    cmd = ["java", f"-Xmx{HEAP}", f"-Djava.io.tmpdir={os.path.join(OUT, 'tmp')}",
+    cmd = ["java", f"-Xms{HEAP}", f"-Xmx{HEAP}", *JVM_OPTS, f"-Djava.io.tmpdir={os.path.join(OUT, 'tmp')}",
            "-Dspark.driver.host=127.0.0.1", "-Dspark.ui.enabled=false", "-Xlog:all=warning:stderr"]
     cmd += [f"--add-opens=java.base/{p}=ALL-UNNAMED" for p in OPENS] + extra
     cmd += ["-cp", cp, "repro.perfbench.Main", "--workload", workload, "--seed", str(seed),
