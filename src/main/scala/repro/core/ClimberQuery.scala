@@ -1,7 +1,8 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
+import repro.scan.Dss
 
 /** CLIMBER query processing (§VI): Algorithm 3 (CLIMBER-kNN), the adaptive
   * variations (2X/4X partition caps), the OD-Smallest ablation, and the
@@ -19,39 +20,18 @@ object ClimberQuery {
   final case class QueryPlan(groupIds: Seq[Int], nodeDepth: Int, nodeSize: Long,
                              partitions: Array[Int])
 
-  private def mix(z0: Long): Long = {
-    var z = z0 + 0x9E3779B97F4A7C15L
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-    z ^ (z >>> 31)
-  }
-
-  /** Groups surviving lines 5-9 of Algorithm 3: smallest OD, then (on ties)
-    * smallest WD. Falls back to G₀ when the query overlaps no centroid.
-    */
-  private def candidateGroups(skeleton: IndexSkeleton, rs: Array[Int],
-                              ri: Array[Int]): Seq[Group] = {
-    val m = ri.length
-    val gs = skeleton.groups.drop(1)
-    if (gs.isEmpty) return Seq(skeleton.groups(0))
-    val od = gs.map(g => Distances.overlap(g.centroid, ri))
-    val minOd = od.min
-    if (minOd == m) return Seq(skeleton.groups(0))
-    val tied = gs.zip(od).collect { case (g, d) if d == minOd => g }
-    if (tied.size == 1) tied
-    else {
-      val wd = tied.map(g => Distances.weightDistance(rs, g.centroid, skeleton.decay))
-      val minWd = wd.min
-      tied.zip(wd).collect { case (g, d) if d == minWd => g }
-    }
-  }
+  /** Lines 5-9 of Algorithm 3: Algorithm 1's group ranking of the query. */
+  private def ranked(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int]): Seq[Group] =
+    GroupAssign.rank(rs, ri, skeleton.centroids, skeleton.decay).map(skeleton.groups(_))
 
   /** Algorithm 3: pick the single best (group, trie node) and return its
     * physical partitions.
     */
   def plan(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int],
-           querySeed: Long = 0): QueryPlan = {
-    val cands = candidateGroups(skeleton, rs, ri)
+           querySeed: Long = 0): QueryPlan =
+    planRanked(ranked(skeleton, rs, ri), rs, querySeed)
+
+  private def planRanked(cands: Seq[Group], rs: Array[Int], querySeed: Long): QueryPlan = {
     val navigated = cands.map(g => (g, g.root.navigate(rs)))
     // Lines 14-17: longest path, then largest node.
     val maxDepth = navigated.map(_._2.depth).max
@@ -59,9 +39,7 @@ object ClimberQuery {
     val maxSize = deepest.map(_._2.size).max
     val biggest = deepest.filter(_._2.size == maxSize)
     // Lines 18-19: random (deterministic in the query seed) final tie-break.
-    val (g, node) =
-      if (biggest.size == 1) biggest.head
-      else biggest((((mix(querySeed) % biggest.size) + biggest.size) % biggest.size).toInt)
+    val (g, node) = if (biggest.size == 1) biggest.head else SplitMix.pick(querySeed, biggest)
     QueryPlan(Seq(g.id), node.depth, node.size, node.partitions)
   }
 
@@ -73,10 +51,10 @@ object ClimberQuery {
     */
   def planAdaptive(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int],
                    k: Int, factor: Int, querySeed: Long = 0): QueryPlan = {
-    val base = plan(skeleton, rs, ri, querySeed)
+    val cands = ranked(skeleton, rs, ri)
+    val base = planRanked(cands, rs, querySeed)
     if (base.nodeSize >= k) return base
     val maxParts = math.max(1, factor * base.partitions.length)
-    val cands = candidateGroups(skeleton, rs, ri)
     val nodes = cands.flatMap { g =>
       val deepest = g.root.navigate(rs)
       val second =
@@ -104,16 +82,7 @@ object ClimberQuery {
     * Algorithm 3).
     */
   def planOdSmallest(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int]): QueryPlan = {
-    val m = ri.length
-    val gs = skeleton.groups.drop(1)
-    val tied =
-      if (gs.isEmpty) Seq(skeleton.groups(0))
-      else {
-        val od = gs.map(g => Distances.overlap(g.centroid, ri))
-        val minOd = od.min
-        if (minOd == m) Seq(skeleton.groups(0))
-        else gs.zip(od).collect { case (g, d) if d == minOd => g }
-      }
+    val tied = GroupAssign.odSmallest(ri, skeleton.centroids).map(skeleton.groups(_))
     val parts = tied.flatMap(_.root.partitions).distinct.sorted.toArray
     QueryPlan(tied.map(_.id), 0, tied.map(_.root.size).sum, parts)
   }
@@ -135,17 +104,8 @@ object ClimberQuery {
     * (id, distance) pairs with a deterministic (distance, id) order.
     */
   def scanTopK(data: DataFrame, partCol: String, partitions: Array[Int],
-               query: Array[Double], k: Int): Seq[(Long, Double)] = {
-    val ed = udf { (xs: Seq[Double]) => Distances.euclidean(xs.toArray, query) }
-    data
-      .filter(col(partCol).isin(partitions.toSeq: _*))
-      .select(col("id"), ed(col("series")).as("dist"))
-      .orderBy(col("dist"), col("id"))
-      .limit(k)
-      .collect()
-      .map(r => (r.getLong(0), r.getDouble(1)))
-      .toSeq
-  }
+               query: Array[Double], k: Int): Seq[(Long, Double)] =
+    Dss.knn(data.filter(col(partCol).isin(partitions.toSeq: _*)), query, k)
 
   /** End-to-end approximate kNN under a variant. */
   def knn(index: ClimberIndex, query: Array[Double], k: Int, variant: Variant,

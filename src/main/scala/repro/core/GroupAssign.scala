@@ -19,17 +19,31 @@ import repro.core.Distances.Decay
   */
 object GroupAssign {
 
-  private def mix(z0: Long): Long = {
-    var z = z0 + 0x9E3779B97F4A7C15L
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-    z ^ (z >>> 31)
+  /** Deterministic stand-in for Algorithm 1's random tie-break. */
+  def tieBreak(recordId: Long, candidates: Seq[Int]): Int = SplitMix.pick(recordId, candidates)
+
+  /** Lines 1-7: the ascending ids of the centroids at the smallest Overlap
+    * Distance to `ri`, or `Seq(0)` (G₀) when `ri` overlaps no centroid.
+    */
+  def odSmallest(ri: Array[Int], centroids: IndexedSeq[Array[Int]]): Seq[Int] = {
+    val od = centroids.map(c => Distances.overlap(c, ri))
+    val minOd = if (od.isEmpty) ri.length else od.min
+    if (minOd == ri.length) Seq(0)
+    else od.indices.filter(i => od(i) == minOd).map(_ + 1)
   }
 
-  /** Deterministic stand-in for Algorithm 1's random tie-break. */
-  def tieBreak(recordId: Long, candidates: Seq[Int]): Int = {
-    val h = mix(recordId)
-    candidates(((h % candidates.size) + candidates.size).toInt % candidates.size)
+  /** Lines 1-12 (Algorithm 3, lines 5-9): the smallest-OD groups, narrowed
+    * on ties to those at the smallest Weight Distance. Ascending ids.
+    */
+  def rank(rs: Array[Int], ri: Array[Int], centroids: IndexedSeq[Array[Int]],
+           decay: Decay): Seq[Int] = {
+    val best = odSmallest(ri, centroids)
+    if (best.size == 1) best
+    else {
+      val wd = best.map(g => Distances.weightDistance(rs, centroids(g - 1), decay))
+      val minWd = wd.min
+      best.zip(wd).collect { case (g, d) if d == minWd => g }
+    }
   }
 
   /** Assign one object. `centroids` maps 1-based group id → sorted
@@ -37,19 +51,8 @@ object GroupAssign {
     */
   def assign(recordId: Long, rs: Array[Int], ri: Array[Int],
              centroids: IndexedSeq[Array[Int]], decay: Decay): Int = {
-    val m = ri.length
-    if (centroids.isEmpty) return 0
-    val od = centroids.map(c => Distances.overlap(c, ri))
-    val minOd = od.min
-    if (minOd == m) return 0 // Lines 3-5: zero overlap with every centroid
-    val best = od.zipWithIndex.collect { case (d, i) if d == minOd => i }
-    if (best.size == 1) return best.head + 1 // Lines 6-7
-    // Lines 8-12: tie — refine with the Weight Distance.
-    val wd = best.map(i => Distances.weightDistance(rs, centroids(i), decay))
-    val minWd = wd.min
-    val best2 = best.zip(wd).collect { case (i, d) if d == minWd => i }
-    if (best2.size == 1) return best2.head + 1
+    val best = rank(rs, ri, centroids, decay)
     // Lines 13-14: second tie — (deterministic) random pick.
-    tieBreak(recordId, best2.map(_ + 1))
+    if (best.size == 1) best.head else tieBreak(recordId, best)
   }
 }

@@ -44,28 +44,15 @@ object Ablation {
     val qs = Workloads.queries("RandomWalk", n, cfg.nQueries)
     val truth = Dss.knnBatch(spark, df, qs, cfg.k)
     val index = ClimberIndex.build(spark, df, cfg.climber)
-    val partSizes = index.data.groupBy("part").count().collect()
-      .map(r => r.getInt(0) -> r.getLong(1)).toMap
+    val sizes = Workloads.partSizes(index.data)
 
-    val variants: Seq[(String, ClimberQuery.Variant)] = Seq(
-      "CLIMBER-kNN" -> ClimberQuery.Knn,
-      "CLIMBER-kNN-Adaptive-2X" -> ClimberQuery.Adaptive(2),
-      "CLIMBER-kNN-Adaptive-4X" -> ClimberQuery.Adaptive(4),
-      "OD-Smallest" -> ClimberQuery.OdSmallest,
-    )
-    val raw = variants.map { case (name, v) =>
-      val perQ = qs.map { case (qid, q) =>
-        val plan = ClimberQuery.planFor(index, q, cfg.k, v, qid)
-        val accessed = plan.partitions.map(p => partSizes.getOrElse(p, 0L)).sum
-        val ids = ClimberQuery.scanTopK(index.data, "part", plan.partitions, q, cfg.k).map(_._1)
-        (qid -> ids, accessed)
-      }
-      val rec = Workloads.meanRecall(perQ.map(_._1).toMap, truth)
-      (name, perQ.map(_._2).sum.toDouble / perQ.size, rec)
-    }
-    val od = raw.find(_._1 == "OD-Smallest").get
-    val rows = raw.map { case (name, rowsAcc, rec) =>
-      OdRow(name, rowsAcc, rec, od._2 / rowsAcc, od._3 / rec)
+    val variants = Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(2), ClimberQuery.Adaptive(4),
+      ClimberQuery.OdSmallest)
+    val measured = variants.map(v =>
+      v.label -> Workloads.measure(qs, truth)(Workloads.climberRun(index, sizes, cfg.k, v)))
+    val od = measured.last._2
+    val rows = measured.map { case (name, m) =>
+      OdRow(name, m.rowsScanned, m.recall, od.rowsScanned / m.rowsScanned, od.recall / m.recall)
     }
     index.data.unpersist(); df.unpersist()
     rows
@@ -80,14 +67,9 @@ object Ablation {
     val rows = cfg.prefixLens.map { m =>
       val params = cfg.climber.copy(prefixLen = m, epsilon = math.max(1, m / 2))
       val (index, ict) = Workloads.timed(ClimberIndex.build(spark, df, params))
-      val perQ = qs.map { case (qid, q) =>
-        val (res, t) = Workloads.timed(
-          ClimberQuery.knn(index, q, cfg.k, ClimberQuery.Adaptive(4), qid))
-        (qid -> res.map(_._1), t)
-      }
-      val rec = Workloads.meanRecall(perQ.map(_._1).toMap, truth)
-      val row = PrefixRow(m, ict, index.stats.skeletonBytes / 1024.0,
-        perQ.map(_._2).sum / perQ.size, rec)
+      val q = Workloads.measure(qs, truth)(Workloads.climberRun(index,
+        Workloads.partSizes(index.data), cfg.k, ClimberQuery.Adaptive(4)))
+      val row = PrefixRow(m, ict, index.stats.skeletonBytes / 1024.0, q.qrtSec, q.recall)
       index.data.unpersist()
       row
     }

@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{ClimberIndex, ClimberParams, ClimberQuery}
-import repro.isax.{BaselineCommon, BaselineIndex, DpiSax, Tardis}
+import repro.isax.{DpiSax, Tardis}
 import repro.scan.Dss
 
 /** Figure 9 — the K sweep on RandomWalk 400 GB: (a) recall and (b) the
@@ -43,44 +43,23 @@ object FigNine {
     val tardis = Tardis.index(spark, df, cfg.climber.capacity, alpha = cfg.climber.alpha)
     val climber = ClimberIndex.build(spark, df, cfg.climber)
 
-    def partSizes(data: org.apache.spark.sql.DataFrame): Map[Int, Long] =
-      data.groupBy("part").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-    val dpSizes = partSizes(dpisax.data)
-    val tdSizes = partSizes(tardis.data)
-    val clSizes = partSizes(climber.data)
+    val dpSizes = Workloads.partSizes(dpisax.data)
+    val tdSizes = Workloads.partSizes(tardis.data)
+    val clSizes = Workloads.partSizes(climber.data)
 
-    def baselineRun(bi: BaselineIndex, sizes: Map[Int, Long])(qid: Long, q: Array[Double],
-                                                              k: Int): (Seq[Long], Long) = {
-      val part = bi.router.route(BaselineCommon.wordOf(q, bi.paaW, bi.bits))
-      (BaselineCommon.knn(bi, q, k).map(_._1), sizes.getOrElse(part, 0L))
-    }
-    def climberRun(v: ClimberQuery.Variant)(qid: Long, q: Array[Double],
-                                            k: Int): (Seq[Long], Long) = {
-      val plan = ClimberQuery.planFor(climber, q, k, v, qid)
-      (ClimberQuery.scanTopK(climber.data, "part", plan.partitions, q, k).map(_._1),
-        plan.partitions.map(p => clSizes.getOrElse(p, 0L)).sum)
-    }
+    val dss: Int => Workloads.Run = k => (_, q) => (Dss.knn(df, q, k).map(_._1), n)
+    val variants = Seq(
+      "Dss" -> dss,
+      "DPiSAX" -> (Workloads.baselineRun(dpisax, dpSizes, _: Int)),
+      "TARDIS" -> (Workloads.baselineRun(tardis, tdSizes, _: Int)),
+    ) ++ Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(2), ClimberQuery.Adaptive(4)).map(v =>
+      v.label -> (Workloads.climberRun(climber, clSizes, _: Int, v)))
 
-    val variants: Seq[(String, (Long, Array[Double], Int) => (Seq[Long], Long))] = Seq(
-      "Dss" -> ((_: Long, q: Array[Double], k: Int) => (Dss.knn(df, q, k).map(_._1), n)),
-      "DPiSAX" -> baselineRun(dpisax, dpSizes) _,
-      "TARDIS" -> baselineRun(tardis, tdSizes) _,
-      "CLIMBER-kNN" -> climberRun(ClimberQuery.Knn) _,
-      "CLIMBER-kNN-Adaptive-2X" -> climberRun(ClimberQuery.Adaptive(2)) _,
-      "CLIMBER-kNN-Adaptive-4X" -> climberRun(ClimberQuery.Adaptive(4)) _,
-    )
-
-    for (k <- cfg.ks; (name, f) <- variants) {
+    for (k <- cfg.ks; (name, run) <- variants) {
       val timedQs = if (name == "Dss") qs.take(cfg.nDssTimedQueries) else qs
-      val perQ = timedQs.map { case (qid, q) =>
-        val ((ids, scanned), t) = Workloads.timed(f(qid, q, k))
-        (qid -> ids, t, scanned)
-      }
-      val rec = Workloads.meanRecall(perQ.map(_._1).toMap,
-        truthMax.map { case (qid, ids) => qid -> ids.take(k) })
-      rows += Row(k, name, perQ.map(_._2).sum / perQ.size,
-        if (name == "Dss") 1.0 else rec,
-        perQ.map(_._3).sum.toDouble / perQ.size)
+      val m = Workloads.measure(timedQs,
+        truthMax.map { case (qid, ids) => qid -> ids.take(k) })(run(k))
+      rows += Row(k, name, m.qrtSec, m.recall, m.rowsScanned)
     }
     dpisax.data.unpersist(); tardis.data.unpersist(); climber.data.unpersist(); df.unpersist()
     rows.toSeq

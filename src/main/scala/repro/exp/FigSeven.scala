@@ -2,7 +2,7 @@ package repro.exp
 
 import org.apache.spark.sql.SparkSession
 import repro.core.{ClimberIndex, ClimberParams, ClimberQuery}
-import repro.isax.{BaselineCommon, DpiSax, Tardis}
+import repro.isax.{DpiSax, Tardis}
 import repro.scan.Dss
 
 /** Figures 7(a,b) and 8(a,b) rendered as a table: for each dataset at the
@@ -40,42 +40,26 @@ object FigSeven {
       val truth = Dss.knnBatch(spark, df, qs, cfg.k)
 
       // Dss: exact by construction; time a subset of single-query scans.
-      val dssTimes = qs.take(cfg.nDssTimedQueries).map { case (_, q) =>
-        Workloads.timed(Dss.knn(df, q, cfg.k))._2
-      }
-      rows += Row(ds, "Dss", dssTimes.sum / dssTimes.size, 1.0, n.toDouble,
-        Double.NaN, Double.NaN)
+      val dss = Workloads.measure(qs.take(cfg.nDssTimedQueries), truth)((_, q) =>
+        (Dss.knn(df, q, cfg.k).map(_._1), n))
+      rows += Row(ds, "Dss", dss.qrtSec, dss.recall, dss.rowsScanned, Double.NaN, Double.NaN)
 
       // DPiSAX and TARDIS: one-partition approximate search.
       for ((name, bi) <- Seq(
           "DPiSAX" -> DpiSax.index(spark, df, cfg.climber.capacity, alpha = cfg.climber.alpha),
           "TARDIS" -> Tardis.index(spark, df, cfg.climber.capacity, alpha = cfg.climber.alpha))) {
-        val sizes = bi.data.groupBy("part").count().collect()
-          .map(r => r.getInt(0) -> r.getLong(1)).toMap
-        val perQ = qs.map { case (qid, q) =>
-          val (res, t) = Workloads.timed(BaselineCommon.knn(bi, q, cfg.k))
-          val part = bi.router.route(BaselineCommon.wordOf(q, bi.paaW, bi.bits))
-          (qid -> res.map(_._1), t, sizes.getOrElse(part, 0L))
-        }
-        rows += Row(ds, name, perQ.map(_._2).sum / perQ.size,
-          Workloads.meanRecall(perQ.map(_._1).toMap, truth),
-          perQ.map(_._3).sum.toDouble / perQ.size, bi.buildSec, bi.indexBytes / 1024.0)
+        val m = Workloads.measure(qs, truth)(
+          Workloads.baselineRun(bi, Workloads.partSizes(bi.data), cfg.k))
+        rows += Row(ds, name, m.qrtSec, m.recall, m.rowsScanned, bi.buildSec,
+          bi.indexBytes / 1024.0)
         bi.data.unpersist()
       }
 
       // CLIMBER default variation (Adaptive-4X).
       val (index, ict) = Workloads.timed(ClimberIndex.build(spark, df, cfg.climber))
-      val clSizes = index.data.groupBy("part").count().collect()
-        .map(r => r.getInt(0) -> r.getLong(1)).toMap
-      val perQ = qs.map { case (qid, q) =>
-        val plan = ClimberQuery.planFor(index, q, cfg.k, ClimberQuery.Adaptive(4), qid)
-        val (res, t) = Workloads.timed(
-          ClimberQuery.scanTopK(index.data, "part", plan.partitions, q, cfg.k))
-        (qid -> res.map(_._1), t, plan.partitions.map(p => clSizes.getOrElse(p, 0L)).sum)
-      }
-      rows += Row(ds, "CLIMBER", perQ.map(_._2).sum / perQ.size,
-        Workloads.meanRecall(perQ.map(_._1).toMap, truth),
-        perQ.map(_._3).sum.toDouble / perQ.size, ict,
+      val m = Workloads.measure(qs, truth)(Workloads.climberRun(index,
+        Workloads.partSizes(index.data), cfg.k, ClimberQuery.Adaptive(4)))
+      rows += Row(ds, "CLIMBER", m.qrtSec, m.recall, m.rowsScanned, ict,
         index.stats.skeletonBytes / 1024.0)
       index.data.unpersist()
       df.unpersist()

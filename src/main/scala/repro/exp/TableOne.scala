@@ -35,45 +35,35 @@ object TableOne {
       val n = gb.toLong * Workloads.SeriesPerGb
       val df = Workloads.dataset(spark, "RandomWalk", n)
       val qs = Workloads.queries("RandomWalk", n, cfg.nQueries)
-      val truth = Dss.knnBatch(spark, df, qs, cfg.k)
+      val score = Workloads.measure(qs, Dss.knnBatch(spark, df, qs, cfg.k)) _
 
       // CLIMBER (default variation Adaptive-4X, §VII-A).
       val (index, ict) = Workloads.timed(ClimberIndex.build(spark, df, cfg.climber))
-      val perQuery = qs.map { case (qid, q) =>
-        val (res, t) = Workloads.timed(
-          ClimberQuery.knn(index, q, cfg.k, ClimberQuery.Adaptive(4), querySeed = qid))
-        (qid -> res.map(_._1), t)
-      }
-      val rec = Workloads.meanRecall(perQuery.map(_._1).toMap, truth)
-      rows += Row(gb, "CLIMBER", ict, perQuery.map(_._2).sum / perQuery.size, rec, "ok")
+      val cl = score(Workloads.climberRun(index, Workloads.partSizes(index.data), cfg.k,
+        ClimberQuery.Adaptive(4)))
+      rows += Row(gb, "CLIMBER", ict, cl.qrtSec, cl.recall, "ok")
       index.data.unpersist()
 
-      // Odyssey: exact, in-memory, fails beyond the cluster RAM budget.
-      if (n > cfg.odysseyBudgetGb.toLong * Workloads.SeriesPerGb)
-        rows += Row(gb, "Odyssey", 0, 0, 0, "X")
-      else {
-        val (ody, ictO) = Workloads.timed(
-          OdysseySim.build(df, n, Long.MaxValue, cfg.climber.paaW).toOption.get)
-        val perQ = qs.map { case (qid, q) =>
-          val (res, t) = Workloads.timed(ody.knn(q, cfg.k))
-          (qid -> res.map(_._1), t)
+      // An in-memory system: "X" beyond its budget, else timed build + queries.
+      // Table I reports no rows scanned, so these runs count none.
+      def inMemory(system: String, budgetGb: Int)(build: => Workloads.Run): Row =
+        if (n > budgetGb.toLong * Workloads.SeriesPerGb) Row(gb, system, 0, 0, 0, "X")
+        else {
+          val (run, ictS) = Workloads.timed(build)
+          val m = score(run)
+          Row(gb, system, ictS, m.qrtSec, m.recall, "ok")
         }
-        rows += Row(gb, "Odyssey", ictO, perQ.map(_._2).sum / perQ.size,
-          Workloads.meanRecall(perQ.map(_._1).toMap, truth), "ok")
+
+      // Odyssey: exact, in-memory, fails beyond the cluster RAM budget.
+      rows += inMemory("Odyssey", cfg.odysseyBudgetGb) {
+        val ody = OdysseySim.build(df, n, Long.MaxValue, cfg.climber.paaW).toOption.get
+        (_, q) => (ody.knn(q, cfg.k).map(_._1), 0L)
       }
 
       // ParlayANN-HNSW: approximate, single-node, costly construction.
-      if (n > cfg.parlayBudgetGb.toLong * Workloads.SeriesPerGb)
-        rows += Row(gb, "ParlayANN", 0, 0, 0, "X")
-      else {
-        val (pa, ictP) = Workloads.timed(
-          ParlayAnnSim.build(df, n, Long.MaxValue).toOption.get)
-        val perQ = qs.map { case (qid, q) =>
-          val (res, t) = Workloads.timed(pa.knn(q, cfg.k))
-          (qid -> res.map(_._1), t)
-        }
-        rows += Row(gb, "ParlayANN", ictP, perQ.map(_._2).sum / perQ.size,
-          Workloads.meanRecall(perQ.map(_._1).toMap, truth), "ok")
+      rows += inMemory("ParlayANN", cfg.parlayBudgetGb) {
+        val pa = ParlayAnnSim.build(df, n, Long.MaxValue).toOption.get
+        (_, q) => (pa.knn(q, cfg.k).map(_._1), 0L)
       }
       df.unpersist()
     }

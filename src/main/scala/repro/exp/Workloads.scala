@@ -1,11 +1,13 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.core.{ClimberIndex, ClimberQuery}
+import repro.isax.{BaselineCommon, BaselineIndex}
 import repro.series.SeriesGen
 
 /** Shared workload plumbing for the benches/jobs: dataset materialisation,
   * query sampling (queries are drawn from the dataset itself, §VII-A),
-  * recall (Def. 4), and timing helpers.
+  * recall (Def. 4), and the one measurement loop of every runner.
   */
 object Workloads {
 
@@ -14,9 +16,10 @@ object Workloads {
 
   /** Bench-scale CLIMBER parameters: the paper's defaults (r = 200 pivots,
     * prefix m = 10, §VII-A), with the capacity c = 2000 records standing in
-    * for a fixed 128 MB HDFS partition (DESIGN.md §6). A calibration sweep
-    * (jobs/ProbeJob) confirmed r = 200/m = 10 dominates or ties the smaller
-    * settings across all four datasets at this scale.
+    * for a fixed 128 MB HDFS partition (DESIGN.md §6). At this scale, a
+    * sweep of (r, m) ∈ {(64, 8), (128, 10), (200, 10), (256, 12)} over all
+    * four datasets (50k series, K = 500, Adaptive-4X recall) found
+    * r = 200/m = 10 to dominate or tie the smaller settings.
     */
   val benchParams: repro.core.ClimberParams =
     repro.core.ClimberParams(numPivots = 200, prefixLen = 10, capacity = 2000)
@@ -51,6 +54,43 @@ object Workloads {
   def meanRecall(results: Map[Long, Seq[Long]], truth: Map[Long, Seq[Long]]): Double = {
     val rs = truth.keys.toSeq.map(qid => recall(results.getOrElse(qid, Seq.empty), truth(qid)))
     rs.sum / rs.size
+  }
+
+  /** Rows per partition of an index's `data` (column `part`). */
+  def partSizes(data: DataFrame): Map[Int, Long] =
+    data.groupBy("part").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+
+  /** One query of a system under test: (qid, query) → (result ids, rows scanned). */
+  type Run = (Long, Array[Double]) => (Seq[Long], Long)
+
+  /** CLIMBER under `variant`: plan, then ED-rank the planned partitions. */
+  def climberRun(index: ClimberIndex, sizes: Map[Int, Long], k: Int,
+                 variant: ClimberQuery.Variant): Run = { (qid, q) =>
+    val plan = ClimberQuery.planFor(index, q, k, variant, qid)
+    (ClimberQuery.scanTopK(index.data, "part", plan.partitions, q, k).map(_._1),
+      plan.partitions.map(sizes.getOrElse(_, 0L)).sum)
+  }
+
+  /** A one-partition iSAX baseline (DPiSAX, TARDIS). */
+  def baselineRun(bi: BaselineIndex, sizes: Map[Int, Long], k: Int): Run = { (_, q) =>
+    val part = bi.router.route(BaselineCommon.wordOf(q, bi.paaW, bi.bits))
+    (BaselineCommon.knn(bi, q, k).map(_._1), sizes.getOrElse(part, 0L))
+  }
+
+  /** Means of one system over a query set. */
+  final case class Measured(qrtSec: Double, recall: Double, rowsScanned: Double)
+
+  /** Time `run` on every query and score its results against `truth`. */
+  def measure(queries: Seq[(Long, Array[Double])],
+              truth: Map[Long, Seq[Long]])(run: Run): Measured = {
+    val perQ = queries.map { case (qid, q) =>
+      val ((ids, scanned), t) = timed(run(qid, q))
+      (qid -> ids, t, scanned)
+    }
+    val results = perQ.map(_._1).toMap
+    Measured(perQ.map(_._2).sum / perQ.size,
+      meanRecall(results, truth.filter { case (qid, _) => results.contains(qid) }),
+      perQ.map(_._3).sum.toDouble / perQ.size)
   }
 
   /** Wall-clock a thunk: (result, seconds). */

@@ -2,7 +2,7 @@ package repro.memory
 
 import java.util.concurrent.atomic.AtomicReference
 
-import repro.core.Distances
+import repro.core.{Distances, SplitMix}
 
 /** Hierarchical Navigable Small World graph (Malkov & Yashunin), built from
   * scratch as the ParlayANN-HNSW comparator of Table I.
@@ -22,16 +22,9 @@ final class Hnsw(points: Array[Array[Double]], m: Int = 16, efConstruction: Int 
   private val mMax0 = 2 * m
   private val mL = 1.0 / math.log(m.toDouble)
 
-  private def mix(z0: Long): Long = {
-    var z = z0 + 0x9E3779B97F4A7C15L
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-    z ^ (z >>> 31)
-  }
-
   /** Deterministic level per node. */
   private val levels: Array[Int] = Array.tabulate(nPoints) { i =>
-    val u = ((mix(seed ^ i.toLong) >>> 11).toDouble / (1L << 53).toDouble).max(1e-12)
+    val u = ((SplitMix.mix(seed ^ i.toLong) >>> 11).toDouble / (1L << 53).toDouble).max(1e-12)
     math.min((-math.log(u) * mL).toInt, 31)
   }
 

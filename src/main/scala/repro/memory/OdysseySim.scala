@@ -21,7 +21,12 @@ final class OdysseySim(val ids: Array[Long], val series: Array[Array[Double]], p
   /** Exact kNN: order candidates by PAA lower bound and stop scanning once
     * the bound exceeds the current k-th best true distance.
     */
-  def knn(query: Array[Double], k: Int): Seq[(Long, Double)] = {
+  def knn(query: Array[Double], k: Int): Seq[(Long, Double)] = knnScanned(query, k)._1
+
+  /** [[knn]] together with the number of series whose true ED was
+    * computed (the lower bound's pruning power).
+    */
+  def knnScanned(query: Array[Double], k: Int): (Seq[(Long, Double)], Int) = {
     val qp = Paa.of(query, paaW)
     val lb = new Array[Double](series.length)
     var i = 0
@@ -42,14 +47,11 @@ final class OdysseySim(val ids: Array[Long], val series: Array[Array[Double]], p
       }
       j += 1
     }
-    /** fraction of the dataset whose true ED was computed (pruning power) */
-    lastScanned = j
-    heap.toArray(new Array[(Double, Long)](0)).toSeq
+    val res = heap.toArray(new Array[(Double, Long)](0)).toSeq
       .map { case (d, id) => (id, d) }
       .sortBy { case (id, d) => (d, id) }
+    (res, j)
   }
-
-  @volatile var lastScanned: Int = 0
 
   /** Parallel batch over queries (Odyssey's strength is concurrent-query
     * scheduling; a fixed thread pool stands in for it).

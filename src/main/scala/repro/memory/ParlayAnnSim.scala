@@ -15,14 +15,6 @@ final class ParlayAnnSim(val ids: Array[Long], hnsw: Hnsw, efSearch: Int) {
 
   def knn(query: Array[Double], k: Int): Seq[(Long, Double)] =
     hnsw.search(query, k, math.max(efSearch, k + k / 4)).map { case (i, d) => (ids(i), d) }
-
-  def knnBatch(queries: Seq[(Long, Array[Double])], k: Int): Map[Long, Seq[(Long, Double)]] = {
-    import scala.concurrent.{Await, ExecutionContext, Future}
-    import scala.concurrent.duration.Duration
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    val futs = queries.map { case (qid, q) => Future((qid, knn(q, k))) }
-    Await.result(Future.sequence(futs), Duration.Inf).toMap
-  }
 }
 
 object ParlayAnnSim {

@@ -2,6 +2,7 @@ package repro.series
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
+import repro.core.SplitMix
 
 /** Synthetic data series generators standing in for the paper's datasets.
   *
@@ -28,13 +29,8 @@ object SeriesGen {
   /** All dataset names in the paper's Figure 7 order. */
   val Datasets: Seq[String] = Seq("RandomWalk", "SIFT", "DNA", "EEG")
 
-  /** SplitMix64-style mix so per-row streams are decorrelated. */
-  private def mix(seed: Long, id: Long): Long = {
-    var z = seed + id * 0x9E3779B97F4A7C15L
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    z = (z ^ (z >>> 27)) * 0x94D049BB133111EBL
-    z ^ (z >>> 31)
-  }
+  /** SplitMix64 state `seed + id·γ`, finalised, so per-row streams are decorrelated. */
+  private def mix(seed: Long, id: Long): Long = SplitMix.finalise(seed + id * SplitMix.Gamma)
 
   /** Z-normalise in place; constant series map to all-zeros. */
   def znorm(xs: Array[Double]): Array[Double] = {

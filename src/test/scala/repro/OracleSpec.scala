@@ -1,37 +1,45 @@
 package repro
 
 import org.apache.spark.sql.functions._
+import repro.core.{ClimberIndex, ClimberParams}
+import repro.series.SeriesGen
 
-/** Exercises the provided DuckDB oracle on the provided TPC-H-lite
-  * generators plus CLIMBER's signature-frequency aggregation (the Step-2
-  * input of Figure 6), so a broken groupBy/count path cannot silently
-  * corrupt centroid selection.
+/** Exercises the provided DuckDB oracle on a built CLIMBER index (its
+  * placed rows, aggregated and joined back to the raw series) plus CLIMBER's
+  * signature-frequency aggregation (the Step-2 input of Figure 6), so a
+  * broken groupBy/count or join path cannot silently corrupt centroid
+  * selection or placement statistics.
   */
 class OracleSpec extends SparkSpec {
 
-  test("lineitem aggregation agrees between Spark and DuckDB") {
-    val li = SynthData.lineitem(spark, sf = 0.001)
-    val got = li.groupBy("l_returnflag")
-      .agg(count(lit(1)).as("cnt"), round(sum("l_quantity"), 2).as("qty"))
+  private lazy val df = SeriesGen.generate(spark, "RandomWalk", 1500, seed = 5).cache()
+  private lazy val index = ClimberIndex.build(spark, df,
+    ClimberParams(paaW = 16, numPivots = 24, prefixLen = 4, alpha = 0.3, capacity = 200))
+  // `group` is a reserved word in DuckDB.
+  private lazy val placed = index.data.select(col("id"), col("group").as("grp"), col("part"))
+
+  test("per-partition aggregation of an index agrees between Spark and DuckDB") {
+    val got = placed.groupBy("part")
+      .agg(count(lit(1)).as("cnt"), round(sum(col("id").cast("double")), 2).as("idsum"))
+    assert(got.count() > 1)
     Oracle.assertEquivalent(
       got,
-      """SELECT l_returnflag, COUNT(*) AS cnt,
-        |       ROUND(SUM(CAST(l_quantity AS DOUBLE)), 2) AS qty
-        |FROM lineitem GROUP BY l_returnflag""".stripMargin,
-      "lineitem" -> li)
+      """SELECT part, COUNT(*) AS cnt, ROUND(SUM(CAST(id AS DOUBLE)), 2) AS idsum
+        |FROM placed GROUP BY part""".stripMargin,
+      "placed" -> placed)
   }
 
-  test("orders/customer join agrees between Spark and DuckDB") {
-    val o = SynthData.orders(spark, sf = 0.002)
-    val c = SynthData.customer(spark, sf = 0.002)
-    val got = o.join(c, o("o_custkey") === c("c_custkey"))
-      .groupBy("c_mktsegment").agg(count(lit(1)).as("cnt"))
+  test("index/series join agrees between Spark and DuckDB") {
+    val raw = df.select(col("id"), (col("series")(0) > 0).cast("int").as("up"))
+    val got = placed.join(raw, "id")
+      .groupBy("grp").agg(count(lit(1)).as("cnt"), sum("up").as("ups"))
+    assert(got.count() > 1)
     Oracle.assertEquivalent(
       got,
-      """SELECT c_mktsegment, COUNT(*) AS cnt
-        |FROM orders o JOIN customer c ON CAST(o.o_custkey AS BIGINT) = CAST(c.c_custkey AS BIGINT)
-        |GROUP BY c_mktsegment""".stripMargin,
-      "orders" -> o, "customer" -> c)
+      """SELECT grp, COUNT(*) AS cnt, SUM(CAST(r.up AS INTEGER)) AS ups
+        |FROM placed p JOIN raw r ON CAST(p.id AS BIGINT) = CAST(r.id AS BIGINT)
+        |GROUP BY grp""".stripMargin,
+      "placed" -> placed, "raw" -> raw)
   }
 
   test("signature frequency aggregation agrees with DuckDB (Fig. 6 Step 2)") {

@@ -1,0 +1,80 @@
+package repro
+
+import scala.util.hashing.MurmurHash3
+
+import org.apache.spark.sql.functions.{col, udf}
+
+import repro.core.{ClimberIndex, ClimberParams, ClimberQuery, GroupAssign}
+import repro.memory.Hnsw
+import repro.series.SeriesGen
+
+/** Exact outputs pinned as constants: generated series, Algorithm 1's
+  * tie-break, index placement, query plans, kNN results and HNSW search.
+  * A refactor that moves any of them by one bit fails here.
+  */
+class PinSpec extends SparkSpec {
+
+  test("generated series are pinned for every dataset") {
+    val got = SeriesGen.Datasets.map(ds =>
+      ds -> (0L to 3L).map(id => java.util.Arrays.hashCode(SeriesGen.local(ds, id, 42))))
+    assert(got == Seq(
+      "RandomWalk" -> Seq(-900158431, -523243882, -999773765, -1284774245),
+      "SIFT" -> Seq(-749264423, -1055404151, -989851704, -2021759453),
+      "DNA" -> Seq(2012344610, 283867649, 1789594515, 881954803),
+      "EEG" -> Seq(1940797663, 933929642, 502418730, -190263559),
+    ))
+  }
+
+  test("Algorithm 1's tie-break pick is pinned") {
+    val got = (0L until 50L).map(id => GroupAssign.tieBreak(id, 1 to 5))
+    assert(got == Seq(5, 5, 5, 4, 4, 4, 2, 3, 2, 3, 2, 4, 3, 5, 4, 1, 1, 4, 1, 1, 5, 4, 1, 1, 3,
+      3, 4, 4, 1, 5, 5, 5, 1, 2, 4, 1, 1, 2, 2, 4, 4, 4, 3, 5, 1, 1, 3, 1, 3, 3))
+  }
+
+  // ClimberQuerySpec's data and parameters. The rows are split into a fixed
+  // four input partitions, because the skeleton's sample depends on the
+  // input partitioning and the pins must not depend on the core count.
+  private lazy val index = ClimberIndex.build(spark,
+    spark.range(0, 2000, 1, 4).select(col("id"),
+      udf((id: Long) => SeriesGen.local("RandomWalk", id, 1)).apply(col("id")).as("series")),
+    ClimberParams(paaW = 16, numPivots = 24, prefixLen = 4, alpha = 0.3, capacity = 200, seed = 7))
+  private lazy val queries =
+    (0L until 20L).map(i => i * 97 -> SeriesGen.local("RandomWalk", i * 97, 1))
+
+  test("placement of every record is pinned") {
+    val rows = index.data.select("id", "group", "part").collect()
+      .map(r => (r.getLong(0), r.getInt(1), r.getInt(2))).sorted.toSeq
+    assert(rows.size == 2000)
+    assert(MurmurHash3.seqHash(rows) == 743214718)
+  }
+
+  test("query plans are pinned under every variant") {
+    val variants = Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(4), ClimberQuery.OdSmallest)
+    val got = variants.map { v =>
+      MurmurHash3.seqHash(queries.map { case (qid, q) =>
+        val p = ClimberQuery.planFor(index, q, 50, v, qid)
+        (p.groupIds, p.nodeDepth, p.nodeSize, p.partitions.toSeq)
+      })
+    }
+    assert(got == Seq(-91651953, 1129063195, 2062612569))
+  }
+
+  test("kNN ids and distances are pinned") {
+    val got = queries.take(3).map { case (qid, q) =>
+      MurmurHash3.seqHash(ClimberQuery.knn(index, q, 50, ClimberQuery.Adaptive(4), qid))
+    }
+    assert(got == Seq(-899255082, 2118102901, 678215390))
+  }
+
+  test("HNSW search on a seeded graph is pinned") {
+    val pts = Array.tabulate(500)(i => SeriesGen.randomWalkLocal(i.toLong, 32, 12))
+    val g = new Hnsw(pts, m = 8, efConstruction = 40, seed = 5)
+    g.build(threads = 1)
+    val got = (0 until 3).map(j =>
+      g.search(SeriesGen.randomWalkLocal(10000L + j, 32, 12), 10, ef = 20).map(_._1))
+    assert(got == Seq(
+      Seq(319, 294, 175, 287, 197, 225, 129, 59, 229, 6),
+      Seq(464, 360, 308, 345, 101, 228, 244, 286, 350, 99),
+      Seq(41, 431, 197, 379, 6, 487, 426, 179, 71, 26)))
+  }
+}

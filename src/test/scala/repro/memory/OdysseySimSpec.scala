@@ -39,8 +39,9 @@ class OdysseySimSpec extends SparkSpec {
 
   test("lower-bound pruning actually skips ED computations") {
     val q = SeriesGen.local("RandomWalk", 10L, 9)
-    ody.knn(q, 5)
-    assert(ody.lastScanned < 800, s"scanned ${ody.lastScanned} of 800 — no pruning")
+    val (res, scanned) = ody.knnScanned(q, 5)
+    assert(res == ody.knn(q, 5))
+    assert(scanned < 800, s"scanned $scanned of 800 — no pruning")
   }
 
   test("pruning never sacrifices exactness at any k") {
