@@ -35,7 +35,9 @@ final case class BuildStats(
 
 /** A fully built CLIMBER index: the broadcastable skeleton, the pivot set,
   * and the re-distributed dataset with columns
-  * (id: long, series: array<double>, rs: array<int>, group: int, part: int).
+  * (id: long, series: array<double>, rs: array<int>, group: int, part: int),
+  * cached with one Spark partition per CLIMBER partition: Spark partition
+  * `p` holds exactly the rows with `part = p`.
   */
 final case class ClimberIndex(
     params: ClimberParams,
@@ -85,6 +87,8 @@ object ClimberIndex {
     val t1 = System.nanoTime()
 
     // Step 4: broadcast pivots + skeleton, re-distribute the full dataset.
+    // repartitionById shuffles through an exact partitioner (Spark partition
+    // = part), the analogue of one HDFS file per CLIMBER partition.
     val bcPivots = spark.sparkContext.broadcast(pivots)
     val bcSkel = spark.sparkContext.broadcast(skeleton)
     val placeUdf = udf { (id: Long, series: Seq[Double]) =>
@@ -98,7 +102,7 @@ object ClimberIndex {
       .withColumn("_p", placeUdf(col("id"), col("series")))
       .select(col("id"), col("series"),
         col("_p._1").as("rs"), col("_p._2").as("group"), col("_p._3").as("part"))
-      .repartition(col("part"))
+      .repartitionById(skeleton.numPartitions, col("part"))
       .cache()
     data.count() // force the re-distribution so timings are honest
     val t2 = System.nanoTime()

@@ -1,7 +1,6 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.functions.col
 import repro.scan.Dss
 
 /** CLIMBER query processing (§VI): Algorithm 3 (CLIMBER-kNN), the adaptive
@@ -102,10 +101,20 @@ object ClimberQuery {
   /** Localized record-level similarity (§VI): load the identified
     * partitions, ED-rank their records against the query, return the top-K
     * (id, distance) pairs with a deterministic (distance, id) order.
+    *
+    * `data` must be laid out one Spark partition per index partition (Spark
+    * partition id = `partCol`, as `ClimberIndex.build` and
+    * `BaselineCommon.index` lay it out): only the planned partitions are
+    * read, one Spark task each. A partition id outside the data's partitions
+    * is rejected, and a row found in the wrong partition fails the scan.
     */
   def scanTopK(data: DataFrame, partCol: String, partitions: Array[Int],
-               query: Array[Double], k: Int): Seq[(Long, Double)] =
-    Dss.knn(data.filter(col(partCol).isin(partitions.toSeq: _*)), query, k)
+               query: Array[Double], k: Int): Seq[(Long, Double)] = {
+    val numPartitions = data.queryExecution.toRdd.getNumPartitions
+    partitions.find(p => p < 0 || p >= numPartitions).foreach(p =>
+      throw new IllegalArgumentException(s"partition $p outside [0, $numPartitions)"))
+    Dss.topK(data, Some(partCol), partitions.distinct.toSeq, Array(query), k).head
+  }
 
   /** End-to-end approximate kNN under a variant. */
   def knn(index: ClimberIndex, query: Array[Double], k: Int, variant: Variant,

@@ -21,19 +21,28 @@ final case class PivotSet(vectors: Array[Array[Double]], prefixLen: Int) extends
     * closest first.
     */
   def rankSensitive(paa: Array[Double]): Array[Int] = {
-    val r = vectors.length
-    val d = new Array[Double](r)
+    // Insertion select of the m smallest (distance, id) pairs. Pivots are
+    // visited in id order, so a pivot enters only when strictly closer than
+    // the current m-th and moves only past strictly farther ones: equal
+    // distances stay in id order. Double.compare puts NaN last.
+    val m = prefixLen
+    val bestD = new Array[Double](m)
+    val bestId = new Array[Int](m)
+    var kept = 0
     var i = 0
-    while (i < r) { d(i) = Distances.squaredEuclidean(paa, vectors(i)); i += 1 }
-    // Partial selection of the m smallest (distance, id) pairs.
-    val idx = Array.tabulate(r)(identity)
-    val ord = new Ordering[Int] {
-      def compare(a: Int, b: Int): Int = {
-        val c = java.lang.Double.compare(d(a), d(b))
-        if (c != 0) c else Integer.compare(a, b)
+    while (i < vectors.length) {
+      val d = Distances.squaredEuclidean(paa, vectors(i))
+      if (kept < m || java.lang.Double.compare(d, bestD(m - 1)) < 0) {
+        var j = if (kept < m) kept else m - 1
+        while (j > 0 && java.lang.Double.compare(bestD(j - 1), d) > 0) {
+          bestD(j) = bestD(j - 1); bestId(j) = bestId(j - 1); j -= 1
+        }
+        bestD(j) = d; bestId(j) = i
+        if (kept < m) kept += 1
       }
+      i += 1
     }
-    idx.sorted(ord).take(prefixLen)
+    bestId
   }
 
   /** Rank-insensitive signature (Def. 6): lexicographic (id) order. */

@@ -16,7 +16,8 @@ trait WordRouter extends Serializable {
 }
 
 /** A built baseline index: the router plus the re-distributed dataset with
-  * columns (id, series, part).
+  * columns (id, series, part), cached one Spark partition per routed
+  * partition (Spark partition id = part).
   */
 final case class BaselineIndex(
     name: String,
@@ -50,7 +51,7 @@ object BaselineCommon {
     val bc = spark.sparkContext.broadcast(router)
     val routeUdf = udf { (xs: Seq[Double]) => bc.value.route(wordOf(xs.toArray, paaW, bits)) }
     val data = df.select(col("id"), col("series"), routeUdf(col("series")).as("part"))
-      .repartition(col("part"))
+      .repartitionById(router.numPartitions, col("part"))
       .cache()
     data.count()
     val buildSec = (System.nanoTime() - t0) / 1e9

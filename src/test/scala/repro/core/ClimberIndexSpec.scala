@@ -34,6 +34,11 @@ class ClimberIndexSpec extends SparkSpec {
     }
   }
 
+  test("Spark partition p holds exactly the rows of CLIMBER partition p") {
+    assert(index.data.rdd.getNumPartitions == index.skeleton.numPartitions)
+    assert(index.data.filter(spark_partition_id() =!= col("part")).count() == 0)
+  }
+
   test("the skeleton produces more than one group on clustered-ish data") {
     assert(index.skeleton.groups.size > 2)
   }

@@ -1,5 +1,8 @@
 package repro.core
 
+import org.apache.spark.SparkException
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
+import org.apache.spark.sql.functions.col
 import repro.SparkSpec
 import repro.core.Distances.ExpDecay
 import repro.scan.Dss
@@ -146,6 +149,73 @@ class ClimberQuerySpec extends SparkSpec {
     val full = ClimberQuery.scanTopK(index.data, "part", allParts, q, 30)
     val exact = Dss.knn(df, q, 30)
     assert(full.map(_._1) == exact.map(_._1))
+  }
+
+  test("pruned scanTopK equals Dss over the partition filter on random plans") {
+    val rng = new java.util.Random(11)
+    val np = index.skeleton.numPartitions
+    // Dropping one partition's rows keeps the layout and leaves it empty.
+    val empty = rng.nextInt(np)
+    val holed = index.data.filter(col("part") =!= empty)
+    for (trial <- 0 until 12) {
+      val data = if (trial % 3 == 0) holed else index.data
+      val picked = Array.fill(1 + rng.nextInt(4))(rng.nextInt(np))
+      // Duplicate ids, and the emptied partition in the holed trials.
+      val parts = picked ++ picked.take(1) ++ (if (trial % 3 == 0) Array(empty) else Array.empty[Int])
+      val q = SeriesGen.local("RandomWalk", rng.nextInt(2000).toLong, 1)
+      // K from 1 up to more than the whole dataset holds.
+      val k = Seq(1, 7, 60, 3000)(trial % 4)
+      val pruned = ClimberQuery.scanTopK(data, "part", parts, q, k)
+      val filtered = Dss.knn(data.filter(col("part").isin(parts.toSeq: _*)), q, k)
+      assert(pruned == filtered, s"trial $trial, partitions ${parts.toSeq}, k $k")
+    }
+  }
+
+  test("scanTopK rejects partition ids outside the layout") {
+    val q = queries.head._2
+    for (bad <- Seq(-1, index.skeleton.numPartitions))
+      intercept[IllegalArgumentException](ClimberQuery.scanTopK(index.data, "part", Array(0, bad), q, 5))
+  }
+
+  test("scanTopK over data not laid out by partition fails instead of answering") {
+    val q = queries.head._2
+    val hashed = index.data.repartition(index.skeleton.numPartitions, col("id"))
+    val e = intercept[SparkException](
+      ClimberQuery.scanTopK(hashed, "part", (0 until index.skeleton.numPartitions).toArray, q, 5))
+    assert(e.getMessage.contains("not laid out by part"), e.getMessage)
+  }
+
+  test("one scanTopK runs one Spark job with one task per distinct partition") {
+    val sc = spark.sparkContext
+    val key = "repro.test.op"
+    val stageTag = new java.util.concurrent.ConcurrentHashMap[Int, String]()
+    val jobs = new java.util.concurrent.ConcurrentHashMap[String, Int]()
+    val tasks = new java.util.concurrent.ConcurrentHashMap[String, Int]()
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).flatMap(p => Option(p.getProperty(key))).foreach { tag =>
+          jobs.merge(tag, 1, _ + _)
+          e.stageIds.foreach(stageTag.put(_, tag))
+        }
+      // Only tasks that run count: a cached index's parent stages are skipped.
+      override def onTaskEnd(e: SparkListenerTaskEnd): Unit =
+        Option(stageTag.get(e.stageId)).foreach(tasks.merge(_, 1, _ + _))
+    }
+    def tagged[T](tag: String)(f: => T): T = {
+      sc.setLocalProperty(key, tag)
+      try f finally sc.setLocalProperty(key, null)
+    }
+    sc.addSparkListener(listener)
+    try {
+      val parts = Array(0, index.skeleton.numPartitions - 1, 0)
+      tagged("scan")(ClimberQuery.scanTopK(index.data, "part", parts, queries.head._2, 10))
+      // Listener events arrive in order: once the drain task is seen, so is the scan.
+      tagged("drain")(sc.parallelize(Seq(1), 1).count())
+      val deadline = System.currentTimeMillis() + 30000
+      while (!tasks.containsKey("drain") && System.currentTimeMillis() < deadline) Thread.sleep(5)
+      assert(jobs.get("scan") == 1)
+      assert(tasks.get("scan") == parts.distinct.length)
+    } finally sc.removeSparkListener(listener)
   }
 
   test("planFor dispatches all variants") {

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.functions._
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
 import repro.series.SeriesGen
 
@@ -35,6 +36,40 @@ class PivotsSpec extends SparkSpec {
     val ps = PivotSet(vecs, 3)
     // (0.5, 0) is equidistant from pivots 0 and 1 → 0 first.
     assert(ps.rankSensitive(Array(0.5, 0.0)).take(2).toSeq == Seq(0, 1))
+  }
+
+  /** Reference signature: a full sort of every pivot id by
+    * (`java.lang.Double.compare` on squared distance, then id).
+    */
+  private def fullSortSignature(ps: PivotSet, paa: Array[Double]): Seq[Int] = {
+    val d = ps.vectors.map(Distances.squaredEuclidean(paa, _))
+    ps.vectors.indices.sorted(new Ordering[Int] {
+      def compare(a: Int, b: Int): Int = {
+        val c = java.lang.Double.compare(d(a), d(b))
+        if (c != 0) c else Integer.compare(a, b)
+      }
+    }).take(ps.prefixLen)
+  }
+
+  test("rank-sensitive selection equals a full sort, ties and NaN included") {
+    // Coordinates from a few small values (plus an occasional NaN) and
+    // pivots copied from earlier pivots force equal distances.
+    val coord = Gen.frequency(20 -> Gen.choose(-2, 2).map(_.toDouble), 1 -> Gen.const(Double.NaN))
+    val inputs = for {
+      dim <- Gen.choose(1, 4)
+      r <- Gen.choose(1, 30)
+      fresh <- Gen.listOfN(r, Gen.listOfN(dim, coord).map(_.toArray))
+      copyOf <- Gen.listOfN(r, Gen.frequency(2 -> Gen.const(-1), 1 -> Gen.choose(0, r - 1)))
+      m <- Gen.oneOf(Gen.const(1), Gen.const(r), Gen.choose(1, r))
+      paa <- Gen.listOfN(dim, coord).map(_.toArray)
+    } yield {
+      val vecs = fresh.toArray
+      for (i <- vecs.indices if copyOf(i) >= 0 && copyOf(i) < i) vecs(i) = vecs(copyOf(i)).clone()
+      (PivotSet(vecs, m), paa)
+    }
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500),
+      Prop.forAll(inputs) { case (ps, paa) => ps.rankSensitive(paa).toSeq == fullSortSignature(ps, paa) })
+    assert(res.passed, res.status.toString)
   }
 
   test("rank-insensitive signature is the id-sorted rank-sensitive set (Def. 6)") {

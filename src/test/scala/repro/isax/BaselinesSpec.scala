@@ -101,6 +101,15 @@ class BaselinesSpec extends SparkSpec {
     }
   }
 
+  // ---------------- layout ----------------
+
+  test("both baselines lay out Spark partition p as routed partition p") {
+    for (b <- Seq(dpisax, tardis)) {
+      assert(b.data.rdd.getNumPartitions == b.router.numPartitions, b.name)
+      assert(b.data.filter(spark_partition_id() =!= col("part")).count() == 0, b.name)
+    }
+  }
+
   // ---------------- recall sanity ----------------
 
   test("both baselines achieve non-trivial recall on their own partition") {
