@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.exp.{TableOne, Workloads}
+import repro.exp.TableOne
 
 /** Reproduces **Table I** (CLIMBER vs Odyssey vs ParlayANN-HNSW across
   * dataset sizes). Paper sizes 200 GB–1.5 TB map to 50k–375k series

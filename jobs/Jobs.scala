@@ -1,13 +1,12 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ClimberIndex, ClimberParams}
 import repro.exp._
 
 /** Shared SparkSession bootstrap for spark-submit entrypoints. */
 object JobSession {
   def get(name: String): SparkSession =
-    SparkSession.builder
+    SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
@@ -56,23 +55,6 @@ object AblationJob {
     println(Ablation.renderOd(Ablation.runOdSmallest(spark)))
     println()
     println(Ablation.renderPrefix(Ablation.runPrefix(spark)))
-    spark.stop()
-  }
-}
-
-/** Standalone index build over a generated dataset (sanity/debug) —
-  * `--class repro.jobs.BuildIndexJob [dataset] [nSeries]`.
-  */
-object BuildIndexJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.get("climber-build")
-    val ds = if (args.length > 0) args(0) else "RandomWalk"
-    val n = if (args.length > 1) args(1).toLong else 50000L
-    val df = Workloads.dataset(spark, ds, n)
-    val index = ClimberIndex.build(spark, df, ClimberParams())
-    println(s"dataset=$ds n=$n groups=${index.stats.numGroups} " +
-      s"partitions=${index.stats.numPartitions} skeletonKB=${index.stats.skeletonBytes / 1024} " +
-      f"skeletonSec=${index.stats.skeletonSec}%.1f redistSec=${index.stats.redistributeSec}%.1f")
     spark.stop()
   }
 }

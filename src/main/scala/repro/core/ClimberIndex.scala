@@ -15,12 +15,14 @@ final case class ClimberParams(
     prefixLen: Int = 10,
     alpha: Double = 0.1, // sample fraction for skeleton construction
     capacity: Long = 1000, // partition capacity c, in records
-    epsilon: Int = -1, // centroid separation; -1 → prefixLen/2
-    decay: Decay = ExpDecay(0.5),
-    maxCentroids: Int = Int.MaxValue,
     seed: Long = 7,
 ) {
-  def eps: Int = if (epsilon >= 0) epsilon else math.max(1, prefixLen / 2)
+  /** Centroid separation ε of Algorithm 2: half the prefix length. */
+  def eps: Int = math.max(1, prefixLen / 2)
+  /** Weight decay of the Weighted Distance (Def. 9). */
+  val decay: Decay = ExpDecay(0.5)
+  /** Algorithm 2 lines 15-16: no cap on the number of centroids. */
+  val maxCentroids: Int = Int.MaxValue
 }
 
 /** Wall-clock breakdown of index construction (Figure 10(a) phases). */
@@ -35,7 +37,7 @@ final case class BuildStats(
 
 /** A fully built CLIMBER index: the broadcastable skeleton, the pivot set,
   * and the re-distributed dataset with columns
-  * (id: long, series: array<double>, rs: array<int>, group: int, part: int),
+  * (id: long, series: array<double>, group: int, part: int),
   * cached with one Spark partition per CLIMBER partition: Spark partition
   * `p` holds exactly the rows with `part = p`.
   */
@@ -59,10 +61,6 @@ object ClimberIndex {
     bos.size().toLong
   }
 
-  private def aggSigs(df: DataFrame, col0: String): Seq[SigFreq] =
-    df.groupBy(col(col0)).count().collect().toSeq
-      .map(r => SigFreq(r.getSeq[Int](0).toArray, r.getLong(1)))
-
   /** Build the index over `df` (columns: id long, series array<double>)
     * following the four steps of Figure 6.
     */
@@ -70,38 +68,36 @@ object ClimberIndex {
     val t0 = System.nanoTime()
     val paa = Paa.paaUdf(params.paaW)
 
-    // Steps 1-2: sample, PAA, pivots, dual signatures, frequency aggregation.
+    // Steps 1-2: sample, PAA, pivots, signature frequency aggregation. Only
+    // the rank-sensitive signatures are aggregated; the rank-insensitive
+    // frequencies fold from them on the driver (P⁴⇉ is P⁴→ sorted).
     val sample = df.sample(withReplacement = false, params.alpha, params.seed)
       .withColumn("paa", paa(col("series")))
       .cache()
     val pivots = Pivots.select(sample, "paa", params.numPivots, params.prefixLen, params.seed)
-    val sampleSigs = Pivots.withSignatures(spark, sample, "paa", pivots)
-      .select("rs", "ri").cache()
-    val rsAgg = aggSigs(sampleSigs, "rs")
-    val riAgg = aggSigs(sampleSigs, "ri")
-    sampleSigs.unpersist(); sample.unpersist()
+    val bcPivots = spark.sparkContext.broadcast(pivots)
+    val rsUdf = udf((paaV: Seq[Double]) => bcPivots.value.rankSensitive(paaV.toArray))
+    val rsAgg = sample.groupBy(rsUdf(col("paa")).as("rs")).count().collect().toSeq
+      .map(r => SigFreq(r.getSeq[Int](0).toArray, r.getLong(1)))
+    sample.unpersist()
+    val riAgg = PivotSet.rankInsensitiveAgg(rsAgg)
 
     // Step 3: centroids, groups, tries, FFD packing → index skeleton.
     val skeleton = IndexSkeleton.build(riAgg, rsAgg, params.alpha, params.capacity,
       params.eps, params.decay, params.maxCentroids)
     val t1 = System.nanoTime()
 
-    // Step 4: broadcast pivots + skeleton, re-distribute the full dataset.
-    // repartitionById shuffles through an exact partitioner (Spark partition
-    // = part), the analogue of one HDFS file per CLIMBER partition.
-    val bcPivots = spark.sparkContext.broadcast(pivots)
+    // Step 4: broadcast the skeleton, place and re-distribute the full
+    // dataset. repartitionById shuffles through an exact partitioner (Spark
+    // partition = part), the analogue of one HDFS file per CLIMBER partition.
     val bcSkel = spark.sparkContext.broadcast(skeleton)
     val placeUdf = udf { (id: Long, series: Seq[Double]) =>
-      val p = bcPivots.value
-      val paaV = Paa.of(series.toArray, params.paaW)
-      val (rs, ri) = p.dual(paaV)
-      val (g, part) = bcSkel.value.place(id, rs, ri)
-      (rs, g, part)
+      val (rs, ri) = bcPivots.value.dual(Paa.of(series.toArray, params.paaW))
+      bcSkel.value.place(id, rs, ri)
     }
     val data = df
       .withColumn("_p", placeUdf(col("id"), col("series")))
-      .select(col("id"), col("series"),
-        col("_p._1").as("rs"), col("_p._2").as("group"), col("_p._3").as("part"))
+      .select(col("id"), col("series"), col("_p._1").as("group"), col("_p._2").as("part"))
       .repartitionById(skeleton.numPartitions, col("part"))
       .cache()
     data.count() // force the re-distribution so timings are honest

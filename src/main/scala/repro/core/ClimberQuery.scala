@@ -80,7 +80,7 @@ object ClimberQuery {
     * every group whose OD to the query is the smallest (stop at line 6 of
     * Algorithm 3).
     */
-  def planOdSmallest(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int]): QueryPlan = {
+  def planOdSmallest(skeleton: IndexSkeleton, ri: Array[Int]): QueryPlan = {
     val tied = GroupAssign.odSmallest(ri, skeleton.centroids).map(skeleton.groups(_))
     val parts = tied.flatMap(_.root.partitions).distinct.sorted.toArray
     QueryPlan(tied.map(_.id), 0, tied.map(_.root.size).sum, parts)
@@ -94,7 +94,7 @@ object ClimberQuery {
     variant match {
       case Knn              => plan(index.skeleton, rs, ri, querySeed)
       case Adaptive(factor) => planAdaptive(index.skeleton, rs, ri, k, factor, querySeed)
-      case OdSmallest       => planOdSmallest(index.skeleton, rs, ri)
+      case OdSmallest       => planOdSmallest(index.skeleton, ri)
     }
   }
 

@@ -59,8 +59,8 @@ object IndexSkeleton {
     // Step 3: assign the sampled rank-sensitive signatures to the centroids.
     // The "record id" for the deterministic tie-break is a hash of the sig.
     val byGroup = rsAgg.groupBy { sf =>
-      val ri = sf.sig.clone(); java.util.Arrays.sort(ri)
-      GroupAssign.assign(java.util.Arrays.hashCode(sf.sig).toLong, sf.sig, ri, centroids, decay)
+      GroupAssign.assign(java.util.Arrays.hashCode(sf.sig).toLong, sf.sig,
+        PivotSet.rankInsensitive(sf.sig), centroids, decay)
     }
 
     // Scale sampled frequencies to full-dataset estimates, build each

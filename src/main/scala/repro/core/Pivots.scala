@@ -1,7 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
+import repro.core.Centroids.SigFreq
 
 /** Pivot set and P⁴ dual signature generation (CLIMBER-FX Step 2, §IV-B).
   *
@@ -45,18 +46,29 @@ final case class PivotSet(vectors: Array[Array[Double]], prefixLen: Int) extends
     bestId
   }
 
-  /** Rank-insensitive signature (Def. 6): lexicographic (id) order. */
+  /** Both signatures of a PAA vector. */
+  def dual(paa: Array[Double]): (Array[Int], Array[Int]) = {
+    val rs = rankSensitive(paa)
+    (rs, PivotSet.rankInsensitive(rs))
+  }
+}
+
+object PivotSet {
+
+  /** Rank-insensitive signature (Def. 6): P⁴→ sorted by pivot id. */
   def rankInsensitive(rs: Array[Int]): Array[Int] = {
     val out = rs.clone()
     java.util.Arrays.sort(out)
     out
   }
 
-  /** Both signatures of a PAA vector. */
-  def dual(paa: Array[Double]): (Array[Int], Array[Int]) = {
-    val rs = rankSensitive(paa)
-    (rs, rankInsensitive(rs))
-  }
+  /** Frequencies of the rank-insensitive signatures, folded from the
+    * aggregated rank-sensitive ones (Figure 6 Step 2): every P⁴⇉ is a
+    * sorted P⁴→, so its frequency is the sum over the P⁴→ that sort to it.
+    */
+  def rankInsensitiveAgg(rsAgg: Seq[SigFreq]): Seq[SigFreq] =
+    rsAgg.groupMapReduce(sf => rankInsensitive(sf.sig).toSeq)(_.freq)(_ + _)
+      .iterator.map { case (ri, freq) => SigFreq(ri.toArray, freq) }.toSeq
 }
 
 object Pivots {
@@ -73,21 +85,5 @@ object Pivots {
       .map(_.getSeq[Double](0).toArray)
     require(rows.length > 0, "empty sample — cannot select pivots")
     PivotSet(rows, prefixLen = math.min(m, rows.length))
-  }
-
-  /** Attach signature columns to `df`: rs (array<int>) and ri (array<int>),
-    * computed from `paaCol` with the broadcast pivot set.
-    */
-  def withSignatures(spark: SparkSession, df: DataFrame, paaCol: String,
-                     pivots: PivotSet): DataFrame = {
-    val bc = spark.sparkContext.broadcast(pivots)
-    val sigUdf = udf { (paa: Seq[Double]) =>
-      val (rs, ri) = bc.value.dual(paa.toArray)
-      (rs, ri)
-    }
-    df.withColumn("_sig", sigUdf(col(paaCol)))
-      .withColumn("rs", col("_sig._1"))
-      .withColumn("ri", col("_sig._2"))
-      .drop("_sig")
   }
 }

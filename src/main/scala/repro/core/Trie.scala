@@ -13,7 +13,6 @@ import scala.collection.mutable
   * is exhausted, or when all members share the remaining path.
   */
 final case class TrieNode(
-    nodeId: Int,
     pivot: Int, // pivot on the edge from the parent; -1 for the root
     depth: Int,
     size: Long, // estimated number of records (full-dataset scale)
@@ -113,14 +112,12 @@ object Trie {
     }
     val (assign, occ) = packFfd(leaves.map(_.size), capacity)
     leaves.zipWithIndex.foreach { case (leaf, i) => leaf.partition = partitionBase + assign(i) }
-    var nextId = 0
     def freeze(n: BNode): TrieNode = {
-      val id = nextId; nextId += 1
       val kids = n.children.toSeq.map { case (p, c) => p -> freeze(c) }.toMap
       val parts: Array[Int] =
         if (n.children.isEmpty) Array(n.partition)
         else kids.values.flatMap(_.partitions).toArray.distinct.sorted
-      TrieNode(id, n.pivot, n.depth, n.size, kids,
+      TrieNode(n.pivot, n.depth, n.size, kids,
         leafPartition = if (n.children.isEmpty) n.partition else -1,
         partitions = parts)
     }

@@ -65,7 +65,7 @@ object Ablation {
     val qs = Workloads.queries("RandomWalk", n, cfg.nQueries)
     val truth = Dss.knnBatch(spark, df, qs, cfg.k)
     val rows = cfg.prefixLens.map { m =>
-      val params = cfg.climber.copy(prefixLen = m, epsilon = math.max(1, m / 2))
+      val params = cfg.climber.copy(prefixLen = m)
       val (index, ict) = Workloads.timed(ClimberIndex.build(spark, df, params))
       val q = Workloads.measure(qs, truth)(Workloads.climberRun(index,
         Workloads.partSizes(index.data), cfg.k, ClimberQuery.Adaptive(4)))

@@ -44,26 +44,28 @@ object TableOne {
       rows += Row(gb, "CLIMBER", ict, cl.qrtSec, cl.recall, "ok")
       index.data.unpersist()
 
-      // An in-memory system: "X" beyond its budget, else timed build + queries.
-      // Table I reports no rows scanned, so these runs count none.
-      def inMemory(system: String, budgetGb: Int)(build: => Workloads.Run): Row =
-        if (n > budgetGb.toLong * Workloads.SeriesPerGb) Row(gb, system, 0, 0, 0, "X")
-        else {
-          val (run, ictS) = Workloads.timed(build)
-          val m = score(run)
-          Row(gb, system, ictS, m.qrtSec, m.recall, "ok")
+      // An in-memory system: "X" when its build refuses the dataset for its
+      // memory budget, else timed build + queries. Table I reports no rows
+      // scanned, so these runs count none.
+      def inMemory(system: String)(build: => Either[String, Workloads.Run]): Row =
+        Workloads.timed(build) match {
+          case (Left(_), _) => Row(gb, system, 0, 0, 0, "X")
+          case (Right(run), ictS) =>
+            val m = score(run)
+            Row(gb, system, ictS, m.qrtSec, m.recall, "ok")
         }
 
       // Odyssey: exact, in-memory, fails beyond the cluster RAM budget.
-      rows += inMemory("Odyssey", cfg.odysseyBudgetGb) {
-        val ody = OdysseySim.build(df, n, Long.MaxValue, cfg.climber.paaW).toOption.get
-        (_, q) => (ody.knn(q, cfg.k).map(_._1), 0L)
+      rows += inMemory("Odyssey") {
+        OdysseySim.build(df, n, cfg.odysseyBudgetGb.toLong * Workloads.SeriesPerGb,
+          cfg.climber.paaW)
+          .map[Workloads.Run](ody => (_, q) => (ody.knn(q, cfg.k).map(_._1), 0L))
       }
 
       // ParlayANN-HNSW: approximate, single-node, costly construction.
-      rows += inMemory("ParlayANN", cfg.parlayBudgetGb) {
-        val pa = ParlayAnnSim.build(df, n, Long.MaxValue).toOption.get
-        (_, q) => (pa.knn(q, cfg.k).map(_._1), 0L)
+      rows += inMemory("ParlayANN") {
+        ParlayAnnSim.build(df, n, cfg.parlayBudgetGb.toLong * Workloads.SeriesPerGb)
+          .map[Workloads.Run](pa => (_, q) => (pa.knn(q, cfg.k).map(_._1), 0L))
       }
       df.unpersist()
     }

@@ -1,7 +1,5 @@
 package repro.isax
 
-import repro.core.Distances
-
 /** SAX / iSAX representation substrate (§III-B, Figure 1), needed by the
   * DPiSAX and TARDIS baselines.
   *
@@ -98,8 +96,4 @@ object Isax {
     }
     math.sqrt(n.toDouble / w * s)
   }
-
-  /** Convenience: PAA lower bound re-export for the Odyssey simulator. */
-  def paaLowerBound(paaX: Array[Double], paaY: Array[Double], n: Int): Double =
-    Distances.paaLowerBound(paaX, paaY, n)
 }

@@ -11,8 +11,7 @@ import repro.core.{Distances, Paa}
   * "X" beyond the budget, exactly where the paper's Table I does; (2) index
   * construction is just loading + summarising (no re-distribution), so it
   * is several times cheaper than CLIMBER's; (3) queries are exact
-  * (recall = 1.0) and fast, using PAA lower-bound pruning with a top-K heap
-  * and multi-core parallelism across queries.
+  * (recall = 1.0) and fast, using PAA lower-bound pruning with a top-K heap.
   */
 final class OdysseySim(val ids: Array[Long], val series: Array[Array[Double]], paaW: Int) {
   private val n = series.headOption.map(_.length).getOrElse(0)
@@ -51,17 +50,6 @@ final class OdysseySim(val ids: Array[Long], val series: Array[Array[Double]], p
       .map { case (d, id) => (id, d) }
       .sortBy { case (id, d) => (d, id) }
     (res, j)
-  }
-
-  /** Parallel batch over queries (Odyssey's strength is concurrent-query
-    * scheduling; a fixed thread pool stands in for it).
-    */
-  def knnBatch(queries: Seq[(Long, Array[Double])], k: Int): Map[Long, Seq[(Long, Double)]] = {
-    import scala.concurrent.{Await, ExecutionContext, Future}
-    import scala.concurrent.duration.Duration
-    implicit val ec: ExecutionContext = ExecutionContext.global
-    val futs = queries.map { case (qid, q) => Future((qid, knn(q, k))) }
-    Await.result(Future.sequence(futs), Duration.Inf).toMap
   }
 }
 

@@ -48,22 +48,18 @@ class ClimberIndexSpec extends SparkSpec {
     assert(g0 < 2000 * 0.2, s"G0 unexpectedly large: $g0")
   }
 
-  test("stored rs column matches a local recomputation") {
-    val rows = index.data.select("id", "rs").limit(50).collect()
+  test("placement in the DataFrame agrees with driver-side place()") {
+    val rows = index.data.select("id", "group", "part").limit(100).collect()
     rows.foreach { r =>
       val paa = Paa.of(SeriesGen.local("RandomWalk", r.getLong(0), 1), params.paaW)
-      assert(r.getSeq[Int](1).toSeq == index.pivots.rankSensitive(paa).toSeq)
+      val (rs, ri) = index.pivots.dual(paa)
+      val (g, p) = index.skeleton.place(r.getLong(0), rs, ri)
+      assert(g == r.getInt(1) && p == r.getInt(2))
     }
   }
 
-  test("placement in the DataFrame agrees with driver-side place()") {
-    val rows = index.data.select("id", "rs", "group", "part").limit(100).collect()
-    rows.foreach { r =>
-      val rs = r.getSeq[Int](1).toArray
-      val ri = rs.clone().sorted
-      val (g, p) = index.skeleton.place(r.getLong(0), rs, ri)
-      assert(g == r.getInt(2) && p == r.getInt(3))
-    }
+  test("the index stores only the columns queries read") {
+    assert(index.data.columns.toSeq == Seq("id", "series", "group", "part"))
   }
 
   test("build is deterministic in the seed") {

@@ -92,7 +92,7 @@ class ClimberQuerySpec extends SparkSpec {
 
   test("OD-Smallest covers every partition of the tied groups") {
     val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
-    val od = ClimberQuery.planOdSmallest(manualSkeleton, rs, ri)
+    val od = ClimberQuery.planOdSmallest(manualSkeleton, ri)
     val base = ClimberQuery.plan(manualSkeleton, rs, ri)
     assert(base.partitions.toSet.subsetOf(od.partitions.toSet))
     val g = manualSkeleton.groups.find(_.centroid.toSeq == Seq(4, 6, 7)).get

@@ -88,6 +88,28 @@ class PivotsSpec extends SparkSpec {
     assert(riX.toSeq == riY.toSeq) // rank-insensitive agrees (coarse-grained)
   }
 
+  test("the driver-side rank-insensitive fold counts the id-sorted signatures") {
+    // Rank-sensitive signatures drawn as permutations of a few pivot sets,
+    // so several P⁴→ share one P⁴⇉ and a P⁴→ repeats.
+    val signatures = for {
+      m <- Gen.choose(1, 4)
+      sets <- Gen.nonEmptyListOf(Gen.pick(m, 0 until 8).map(_.toList))
+      rs <- Gen.listOf(for {
+        set <- Gen.oneOf(sets)
+        seed <- Gen.long
+      } yield new scala.util.Random(seed).shuffle(set))
+    } yield rs
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300),
+      Prop.forAll(signatures) { rs =>
+        val rsAgg = rs.groupBy(identity).map { case (sig, xs) =>
+          Centroids.SigFreq(sig.toArray, xs.size.toLong) }.toSeq
+        val riAgg = PivotSet.rankInsensitiveAgg(rsAgg).map(sf => sf.sig.toList -> sf.freq)
+        val expected = rs.groupBy(_.sorted).map { case (ri, xs) => ri -> xs.size.toLong }
+        riAgg.size == expected.size && riAgg.toMap == expected
+      })
+    assert(res.passed, res.status.toString)
+  }
+
   test("PivotSet rejects prefix length out of range") {
     intercept[IllegalArgumentException](PivotSet(vecs, 0))
     intercept[IllegalArgumentException](PivotSet(vecs, 5))
@@ -108,21 +130,6 @@ class PivotsSpec extends SparkSpec {
     val df = SeriesGen.generate(spark, "RandomWalk", 20, seed = 3)
       .withColumn("paa", Paa.paaUdf(16)(col("series")))
     assert(Pivots.select(df, "paa", 5, 10, seed = 1).prefixLen == 5)
-  }
-
-  test("withSignatures matches the local dual computation") {
-    val df = SeriesGen.generate(spark, "RandomWalk", 100, seed = 4)
-      .withColumn("paa", Paa.paaUdf(16)(col("series")))
-    val ps = Pivots.select(df, "paa", 8, 3, seed = 1)
-    val rows = Pivots.withSignatures(spark, df, "paa", ps)
-      .select("id", "rs", "ri").collect()
-    assert(rows.length == 100)
-    rows.foreach { r =>
-      val paa = Paa.of(SeriesGen.local("RandomWalk", r.getLong(0), 4), 16)
-      val (rs, ri) = ps.dual(paa)
-      assert(r.getSeq[Int](1).toSeq == rs.toSeq)
-      assert(r.getSeq[Int](2).toSeq == ri.toSeq)
-    }
   }
 
   test("nearest pivot of a pivot's own location is itself") {

@@ -31,9 +31,8 @@ class OdysseySimSpec extends SparkSpec {
   test("recall of the exact engine is 1.0 by construction") {
     val qs = Seq(5L, 50L).map(id => (id, SeriesGen.local("RandomWalk", id, 9)))
     val truth = Dss.knnBatch(spark, df, qs, 30)
-    val batch = ody.knnBatch(qs, 30)
-    qs.foreach { case (qid, _) =>
-      assert(repro.exp.Workloads.recall(batch(qid).map(_._1), truth(qid)) == 1.0)
+    qs.foreach { case (qid, q) =>
+      assert(repro.exp.Workloads.recall(ody.knn(q, 30).map(_._1), truth(qid)) == 1.0)
     }
   }
 
@@ -55,11 +54,5 @@ class OdysseySimSpec extends SparkSpec {
     val q = SeriesGen.local("RandomWalk", 64L, 9)
     val res = ody.knn(q, 40)
     assert(res == res.sortBy { case (id, d) => (d, id) })
-  }
-
-  test("batch results match single-query results") {
-    val qs = Seq(2L, 4L).map(id => (id, SeriesGen.local("RandomWalk", id, 9)))
-    val batch = ody.knnBatch(qs, 10)
-    qs.foreach { case (qid, q) => assert(batch(qid) == ody.knn(q, 10)) }
   }
 }

@@ -55,7 +55,6 @@ class DssSpec extends SparkSpec {
   }
 
   test("Dss exact top-k agrees with a DuckDB SQL formulation (oracle)") {
-    import org.apache.spark.sql.functions._
     import spark.implicits._
     // Small exploded instance: 60 series × 16 points, 2 queries, k = 5.
     val n = 16; val rows = 60; val k = 5
