@@ -101,6 +101,8 @@ object ClimberQuery {
   /** Localized record-level similarity (§VI): load the identified
     * partitions, ED-rank their records against the query, return the top-K
     * (id, distance) pairs with a deterministic (distance, id) order.
+    * When the planned partitions hold fewer than `k` rows, the result is
+    * short: every one of those rows, closest first.
     *
     * `data` must be laid out one Spark partition per index partition (Spark
     * partition id = `partCol`, as `ClimberIndex.build` and

@@ -1,5 +1,7 @@
 package repro.scan
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
@@ -36,9 +38,12 @@ object Dss {
 
   /** The ED top-K kernel: one Spark job whose tasks run on `partitions` of
     * `data` (columns id: long, series: array<double>, …) only. Each task
-    * keeps a bounded top-K per query in (distance, id) order; the driver
-    * merges them in the same order. Returns, per query, its top-K
-    * (id, distance) pairs, closest first.
+    * keeps a bounded top-K per query and returns it as one sorted run of
+    * primitive arrays; the driver k-way merges the runs of each query and
+    * stops at K. Returns, per query, its top-K (id, distance) pairs in
+    * ascending (`java.lang.Double.compare` on distance, then id) order, so
+    * NaN sorts last. When the partitions hold fewer than K rows, every row
+    * is returned.
     *
     * With `partCol`, the data must be laid out with Spark partition id =
     * `partCol`: a task that meets a row of another partition fails the job,
@@ -65,13 +70,42 @@ object Dss {
             heaps(q).offer(Distances.euclidean(series, queries(q)), id); q += 1
           }
         }
-        heaps.map(_.sorted)
+        heaps.map(_.sortedRun())
       }, partitions)
-    Array.tabulate(queries.length) { q =>
-      val merged = new TopK(k)
-      perPartition.foreach(_(q).foreach { case (id, d) => merged.offer(d, id) })
-      merged.sorted
+    Array.tabulate(queries.length)(q => merge(perPartition.map(_(q)), k))
+  }
+
+  /** A run of (id, distance) pairs in ascending (distance, id) order. */
+  private final case class Run(ids: Array[Long], ds: Array[Double])
+
+  /** Is (`d`, `id`) after (`d2`, `id2`) in (`java.lang.Double.compare`, id) order? */
+  private def after(d: Double, id: Long, d2: Double, id2: Long): Boolean = {
+    val c = java.lang.Double.compare(d, d2)
+    c > 0 || (c == 0 && id > id2)
+  }
+
+  /** The first `k` pairs of the sorted `runs`, closest first: each step takes
+    * the smallest head among the runs.
+    */
+  private def merge(runs: Array[Run], k: Int): Seq[(Long, Double)] = {
+    val pos = new Array[Int](runs.length)
+    val out = new Array[(Long, Double)](math.min(math.max(k, 0), runs.map(_.ids.length).sum))
+    var i = 0
+    while (i < out.length) {
+      var best = -1
+      var r = 0
+      while (r < runs.length) {
+        val run = runs(r)
+        if (pos(r) < run.ids.length && (best < 0 ||
+            after(runs(best).ds(pos(best)), runs(best).ids(pos(best)), run.ds(pos(r)), run.ids(pos(r)))))
+          best = r
+        r += 1
+      }
+      out(i) = (runs(best).ids(pos(best)), runs(best).ds(pos(best)))
+      pos(best) += 1
+      i += 1
     }
+    ArraySeq.unsafeWrapArray(out)
   }
 
   /** Bounded top-`k` of (distance, id) pairs: a binary max-heap under
@@ -82,14 +116,22 @@ object Dss {
     private val ids = new Array[Long](math.max(k, 0))
     private var n = 0
 
-    /** Does slot `a` come after (distance `d`, id `id`)? */
-    private def after(a: Int, d: Double, id: Long): Boolean = {
-      val c = java.lang.Double.compare(ds(a), d)
-      c > 0 || (c == 0 && ids(a) > id)
-    }
     private def swap(a: Int, b: Int): Unit = {
       val d = ds(a); ds(a) = ds(b); ds(b) = d
       val i = ids(a); ids(a) = ids(b); ids(b) = i
+    }
+
+    /** Restore the heap from the root down, within the first `size` slots. */
+    private def siftDown(size: Int): Unit = {
+      var p = 0
+      var sifting = true
+      while (sifting) {
+        val l = 2 * p + 1
+        var top = p
+        if (l < size && after(ds(l), ids(l), ds(top), ids(top))) top = l
+        if (l + 1 < size && after(ds(l + 1), ids(l + 1), ds(top), ids(top))) top = l + 1
+        if (top == p) sifting = false else { swap(p, top); p = top }
+      }
     }
 
     def offer(d: Double, id: Long): Unit =
@@ -97,25 +139,21 @@ object Dss {
         ds(n) = d; ids(n) = id
         var c = n
         n += 1
-        while (c > 0 && after(c, ds((c - 1) / 2), ids((c - 1) / 2))) {
+        while (c > 0 && after(ds(c), ids(c), ds((c - 1) / 2), ids((c - 1) / 2))) {
           swap(c, (c - 1) / 2); c = (c - 1) / 2
         }
-      } else if (n > 0 && after(0, d, id)) {
+      } else if (n > 0 && after(ds(0), ids(0), d, id)) {
         ds(0) = d; ids(0) = id
-        var p = 0
-        var sifting = true
-        while (sifting) {
-          val l = 2 * p + 1
-          var top = p
-          if (l < n && after(l, ds(top), ids(top))) top = l
-          if (l + 1 < n && after(l + 1, ds(top), ids(top))) top = l + 1
-          if (top == p) sifting = false else { swap(p, top); p = top }
-        }
+        siftDown(n)
       }
 
-    /** The kept pairs as (id, distance), closest first. */
-    def sorted: Seq[(Long, Double)] =
-      (0 until n).map(i => (ids(i), ds(i)))
-        .sortBy { case (id, d) => (d, id) }(Ordering.Tuple2(Ordering.Double.TotalOrdering, Ordering.Long))
+    /** Heapsort the kept pairs in place (the heap is spent) and return them
+      * as a run, closest first.
+      */
+    def sortedRun(): Run = {
+      var end = n - 1
+      while (end > 0) { swap(0, end); siftDown(end); end -= 1 }
+      if (n == ds.length) Run(ids, ds) else Run(ids.take(n), ds.take(n))
+    }
   }
 }

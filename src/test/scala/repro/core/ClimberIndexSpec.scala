@@ -66,6 +66,13 @@ class ClimberIndexSpec extends SparkSpec {
     val again = ClimberIndex.build(spark, df, params)
     assert(again.skeleton.numPartitions == index.skeleton.numPartitions)
     assert(again.skeleton.groups.size == index.skeleton.groups.size)
+    def bytes(o: AnyRef): Seq[Byte] = {
+      val bos = new java.io.ByteArrayOutputStream()
+      val oos = new java.io.ObjectOutputStream(bos)
+      oos.writeObject(o); oos.close()
+      bos.toByteArray.toSeq
+    }
+    assert(bytes(again.skeleton) == bytes(index.skeleton))
     val a = index.data.select("id", "group", "part").collect().map(r => (r.getLong(0), r.getInt(1), r.getInt(2))).sortBy(_._1)
     val b = again.data.select("id", "group", "part").collect().map(r => (r.getLong(0), r.getInt(1), r.getInt(2))).sortBy(_._1)
     assert(a.toSeq == b.toSeq)

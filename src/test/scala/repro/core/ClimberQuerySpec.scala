@@ -171,6 +171,22 @@ class ClimberQuerySpec extends SparkSpec {
     }
   }
 
+  test("scanTopK returns min(K, rows in the planned partitions) rows, closest first") {
+    val rng = new java.util.Random(5)
+    val np = index.skeleton.numPartitions
+    val sizes = index.data.groupBy("part").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+    for (_ <- 0 until 6) {
+      val parts = Array.fill(1 + rng.nextInt(3))(rng.nextInt(np)).distinct
+      val rows = parts.map(sizes.getOrElse(_, 0L)).sum.toInt
+      val q = SeriesGen.local("RandomWalk", rng.nextInt(2000).toLong, 1)
+      for (k <- Seq(1, rows, rows + 1, 3000) if k >= 1) {
+        val got = ClimberQuery.scanTopK(index.data, "part", parts, q, k)
+        assert(got.size == math.min(k, rows), s"partitions ${parts.toSeq}, k $k")
+        assert(got.map(_._2) == got.map(_._2).sorted)
+      }
+    }
+  }
+
   test("scanTopK rejects partition ids outside the layout") {
     val q = queries.head._2
     for (bad <- Seq(-1, index.skeleton.numPartitions))
