@@ -2,6 +2,7 @@ package repro.memory
 
 import org.apache.spark.sql.DataFrame
 import repro.core.{Distances, Paa}
+import repro.scan.KeySort
 
 /** Odyssey-like simulator [16] for Table I: a distributed *main-memory*
   * engine for **exact** kNN over data series, built on iSAX/PAA summaries.
@@ -30,14 +31,16 @@ final class OdysseySim(val ids: Array[Long], val series: Array[Array[Double]], p
     val lb = new Array[Double](series.length)
     var i = 0
     while (i < series.length) { lb(i) = Distances.paaLowerBound(qp, paas(i), n); i += 1 }
-    val order = Array.tabulate(series.length)(identity).sortBy(lb)
+    // Candidates by ascending (lower bound, index): ties keep index order.
+    val order = Array.tabulate(series.length)(_.toLong)
+    KeySort.sortFirst(lb.map(KeySort.key), order, order.length, order.length)
     // Max-heap of the best k (distance, id) seen so far.
     val heap = new java.util.PriorityQueue[(Double, Long)](k,
       (a: (Double, Long), b: (Double, Long)) => java.lang.Double.compare(b._1, a._1))
     var j = 0
     var done = false
     while (j < order.length && !done) {
-      val idx = order(j)
+      val idx = order(j).toInt
       if (heap.size == k && lb(idx) > heap.peek()._1) done = true
       else {
         val d = Distances.euclidean(query, series(idx))

@@ -1,11 +1,14 @@
 package repro.scan
 
+import scala.annotation.unused
 import scala.collection.immutable.ArraySeq
 
 import org.apache.spark.TaskContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
-import repro.core.Distances
+import org.apache.spark.sql.catalyst.expressions.UnsafeArrayData
+import org.apache.spark.unsafe.Platform
 
 /** Distributed Sequential Scan (§VII-A): the brute-force exact kNN baseline
   * that scans every partition in parallel. Used both as a baseline and as
@@ -23,11 +26,11 @@ object Dss {
     topK(data, None, allPartitions(data), Array(query), k).head
 
   /** Exact kNN for a batch of queries in a single pass over every
-    * partition, with one bounded top-K per query. Returns qid → top-K record
-    * ids (closest first). The job runs in `data`'s session; `spark` is kept
-    * for callers' source compatibility.
+    * partition, with one top-K per query. Returns qid → top-K record ids
+    * (closest first). The job runs in `data`'s session; `spark` is kept for
+    * callers' source compatibility.
     */
-  def knnBatch(spark: SparkSession, data: DataFrame,
+  def knnBatch(@unused spark: SparkSession, data: DataFrame,
                queries: Seq[(Long, Array[Double])], k: Int): Map[Long, Seq[Long]] = {
     val res = topK(data, None, allPartitions(data), queries.map(_._2).toArray, k)
     queries.map(_._1).zip(res.map(_.map(_._1))).toMap
@@ -38,12 +41,18 @@ object Dss {
 
   /** The ED top-K kernel: one Spark job whose tasks run on `partitions` of
     * `data` (columns id: long, series: array<double>, …) only. Each task
-    * keeps a bounded top-K per query and returns it as one sorted run of
+    * ranks its rows per query and returns the first K as one sorted run of
     * primitive arrays; the driver k-way merges the runs of each query and
     * stops at K. Returns, per query, its top-K (id, distance) pairs in
     * ascending (`java.lang.Double.compare` on distance, then id) order, so
-    * NaN sorts last. When the partitions hold fewer than K rows, every row
-    * is returned.
+    * NaN sorts last (and comes back as `Double.NaN`). When the partitions
+    * hold fewer than K rows, every row is returned.
+    *
+    * ED is read in place from a row's `UnsafeArrayData`, the form Spark's
+    * cache and scans hand out; a series in any other `ArrayData` is copied
+    * out first and gives the same bits. A stored series whose length differs
+    * from a query's fails the job ("length mismatch", as
+    * `Distances.euclidean`).
     *
     * With `partCol`, the data must be laid out with Spark partition id =
     * `partCol`: a task that meets a row of another partition fails the job,
@@ -51,38 +60,71 @@ object Dss {
     */
   def topK(data: DataFrame, partCol: Option[String], partitions: Seq[Int],
            queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] = {
-    val rdd = data.queryExecution.toRdd
-    val idIdx = data.schema.fieldIndex("id")
-    val seriesIdx = data.schema.fieldIndex("series")
-    val partIdx = partCol.map(data.schema.fieldIndex).getOrElse(-1)
-    val partName = partCol.getOrElse("")
-    val perPartition = data.sparkSession.sparkContext.runJob(rdd,
-      (ctx: TaskContext, rows: Iterator[InternalRow]) => {
-        val heaps = Array.fill(queries.length)(new TopK(k))
-        rows.foreach { row =>
-          if (partIdx >= 0 && row.getInt(partIdx) != ctx.partitionId())
-            throw new IllegalStateException(s"row with $partName = ${row.getInt(partIdx)} " +
-              s"in Spark partition ${ctx.partitionId()}: the data is not laid out by $partName")
-          val id = row.getLong(idIdx)
-          val series = row.getArray(seriesIdx).toDoubleArray()
-          var q = 0
-          while (q < queries.length) {
-            heaps(q).offer(Distances.euclidean(series, queries(q)), id); q += 1
-          }
+    val schema = data.schema
+    rank(data.queryExecution.toRdd, new Rank(schema.fieldIndex("id"), schema.fieldIndex("series"),
+      partCol.map(schema.fieldIndex).getOrElse(-1), partCol.getOrElse(""), queries, k), partitions)
+  }
+
+  /** Run `task` on `partitions` of `rdd` and merge each query's runs. */
+  private[scan] def rank(rdd: RDD[InternalRow], task: Rank,
+                         partitions: Seq[Int]): Array[Seq[(Long, Double)]] = {
+    val perPartition = rdd.sparkContext.runJob(rdd, task, partitions)
+    Array.tabulate(task.queries.length)(q => merge(perPartition.map(_(q)), task.k))
+  }
+
+  /** The task `topK` runs on each partition: the ED of every row to every
+    * query, kept per query in a [[TopK]], returned as sorted runs. It is a
+    * named class rather than a lambda so that `runJob`'s closure cleaner
+    * returns at once instead of re-reading this object's class file for
+    * every job.
+    */
+  private[scan] final class Rank(idIdx: Int, seriesIdx: Int, partIdx: Int, partName: String,
+                                 val queries: Array[Array[Double]], val k: Int)
+      extends ((TaskContext, Iterator[InternalRow]) => Array[Run]) with Serializable {
+
+    def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Array[Run] = {
+      val tops = Array.fill(queries.length)(new TopK(k))
+      while (rows.hasNext) {
+        val row = rows.next()
+        if (partIdx >= 0 && row.getInt(partIdx) != ctx.partitionId())
+          throw new IllegalStateException(s"row with $partName = ${row.getInt(partIdx)} " +
+            s"in Spark partition ${ctx.partitionId()}: the data is not laid out by $partName")
+        val id = row.getLong(idIdx)
+        val series = row.getArray(seriesIdx)
+        val n = series.numElements()
+        var base: AnyRef = null
+        var offset = 0L
+        series match {
+          case u: UnsafeArrayData =>
+            base = u.getBaseObject
+            offset = u.getBaseOffset + UnsafeArrayData.calculateHeaderPortionInBytes(n)
+          case other =>
+            base = other.toDoubleArray()
+            offset = Platform.DOUBLE_ARRAY_OFFSET
         }
-        heaps.map(_.sortedRun())
-      }, partitions)
-    Array.tabulate(queries.length)(q => merge(perPartition.map(_(q)), k))
+        var q = 0
+        while (q < queries.length) {
+          tops(q).offer(euclidean(base, offset, n, queries(q)), id); q += 1
+        }
+      }
+      tops.map(_.sortedRun())
+    }
   }
 
-  /** A run of (id, distance) pairs in ascending (distance, id) order. */
-  private final case class Run(ids: Array[Long], ds: Array[Double])
-
-  /** Is (`d`, `id`) after (`d2`, `id2`) in (`java.lang.Double.compare`, id) order? */
-  private def after(d: Double, id: Long, d2: Double, id2: Long): Boolean = {
-    val c = java.lang.Double.compare(d, d2)
-    c > 0 || (c == 0 && id > id2)
+  /** `Distances.euclidean(x, y)` with `x`, of length `n`, read in place from
+    * `base` at `offset`: the same `x(i) − y(i)` order and one accumulator,
+    * so the same bits.
+    */
+  private def euclidean(base: AnyRef, offset: Long, n: Int, y: Array[Double]): Double = {
+    require(n == y.length, s"length mismatch $n vs ${y.length}")
+    var s = 0.0
+    var i = 0
+    while (i < n) { val d = Platform.getDouble(base, offset + 8L * i) - y(i); s += d * d; i += 1 }
+    math.sqrt(s)
   }
+
+  /** A run of (id, distance key) pairs in ascending [[KeySort]] order. */
+  private[scan] final case class Run(ids: Array[Long], keys: Array[Long])
 
   /** The first `k` pairs of the sorted `runs`, closest first: each step takes
     * the smallest head among the runs.
@@ -96,64 +138,52 @@ object Dss {
       var r = 0
       while (r < runs.length) {
         val run = runs(r)
-        if (pos(r) < run.ids.length && (best < 0 ||
-            after(runs(best).ds(pos(best)), runs(best).ids(pos(best)), run.ds(pos(r)), run.ids(pos(r)))))
+        if (pos(r) < run.ids.length && (best < 0 || KeySort.less(run.keys(pos(r)), run.ids(pos(r)),
+            runs(best).keys(pos(best)), runs(best).ids(pos(best)))))
           best = r
         r += 1
       }
-      out(i) = (runs(best).ids(pos(best)), runs(best).ds(pos(best)))
+      out(i) = (runs(best).ids(pos(best)), KeySort.distance(runs(best).keys(pos(best))))
       pos(best) += 1
       i += 1
     }
     ArraySeq.unsafeWrapArray(out)
   }
 
-  /** Bounded top-`k` of (distance, id) pairs: a binary max-heap under
-    * (`java.lang.Double.compare` on distance, then id), so NaN sorts last.
+  /** One query's top-`k` within a task: (distance key, id) pairs buffered
+    * in primitive arrays of max(2k, 1024) slots. When the buffer fills it is
+    * cut to its first `k` pairs by [[KeySort.sortFirst]], and the k-th pair
+    * becomes the bound a later pair must precede to be buffered, so memory
+    * stays O(k) and most rows cost one comparison.
     */
   private final class TopK(k: Int) {
-    private val ds = new Array[Double](math.max(k, 0))
-    private val ids = new Array[Long](math.max(k, 0))
+    private val cap = math.min(math.max(2L * k, 1024L), Int.MaxValue - 8L).toInt
+    private val keys = new Array[Long](cap)
+    private val ids = new Array[Long](cap)
     private var n = 0
+    // No key equals Long.MaxValue or Long.MinValue, so at first every pair
+    // precedes the bound, and with k <= 0 none does.
+    private var boundKey = if (k > 0) Long.MaxValue else Long.MinValue
+    private var boundId = 0L
 
-    private def swap(a: Int, b: Int): Unit = {
-      val d = ds(a); ds(a) = ds(b); ds(b) = d
-      val i = ids(a); ids(a) = ids(b); ids(b) = i
-    }
-
-    /** Restore the heap from the root down, within the first `size` slots. */
-    private def siftDown(size: Int): Unit = {
-      var p = 0
-      var sifting = true
-      while (sifting) {
-        val l = 2 * p + 1
-        var top = p
-        if (l < size && after(ds(l), ids(l), ds(top), ids(top))) top = l
-        if (l + 1 < size && after(ds(l + 1), ids(l + 1), ds(top), ids(top))) top = l + 1
-        if (top == p) sifting = false else { swap(p, top); p = top }
-      }
-    }
-
-    def offer(d: Double, id: Long): Unit =
-      if (n < ds.length) {
-        ds(n) = d; ids(n) = id
-        var c = n
+    def offer(d: Double, id: Long): Unit = {
+      val key = KeySort.key(d)
+      if (KeySort.less(key, id, boundKey, boundId)) {
+        keys(n) = key; ids(n) = id
         n += 1
-        while (c > 0 && after(ds(c), ids(c), ds((c - 1) / 2), ids((c - 1) / 2))) {
-          swap(c, (c - 1) / 2); c = (c - 1) / 2
+        if (n == cap) {
+          KeySort.sortFirst(keys, ids, n, k)
+          n = k
+          boundKey = keys(k - 1); boundId = ids(k - 1)
         }
-      } else if (n > 0 && after(ds(0), ids(0), d, id)) {
-        ds(0) = d; ids(0) = id
-        siftDown(n)
       }
+    }
 
-    /** Heapsort the kept pairs in place (the heap is spent) and return them
-      * as a run, closest first.
-      */
+    /** Sort the kept pairs and return the first `k` as a run, closest first. */
     def sortedRun(): Run = {
-      var end = n - 1
-      while (end > 0) { swap(0, end); siftDown(end); end -= 1 }
-      if (n == ds.length) Run(ids, ds) else Run(ids.take(n), ds.take(n))
+      val m = math.min(n, math.max(k, 0))
+      KeySort.sortFirst(keys, ids, n, m)
+      Run(ids.take(m), keys.take(m))
     }
   }
 }

@@ -55,4 +55,24 @@ class OdysseySimSpec extends SparkSpec {
     val res = ody.knn(q, 40)
     assert(res == res.sortBy { case (id, d) => (d, id) })
   }
+
+  test("knnScanned's results and scanned counts are pinned") {
+    // (query, k) → scanned, as the boxed full sort of the candidates gave them.
+    val pinned = Map((10L, 1) -> 2, (10L, 5) -> 20, (10L, 40) -> 76, (10L, 100) -> 132,
+      (64L, 1) -> 2, (64L, 5) -> 46, (64L, 40) -> 127, (64L, 100) -> 206,
+      (321L, 1) -> 2, (321L, 5) -> 27, (321L, 40) -> 87, (321L, 100) -> 148)
+    for (((qid, k), scanned) <- pinned) {
+      val q = SeriesGen.local("RandomWalk", qid, 9)
+      val (res, got) = ody.knnScanned(q, k)
+      assert(got == scanned, s"query $qid, k = $k")
+      assert(res.map(_._1) == Dss.knn(df, q, k).map(_._1), s"query $qid, k = $k")
+    }
+  }
+
+  test("candidates tied on the lower bound are scanned in index order") {
+    val s = Array(1.0, 2.0, 3.0, 4.0)
+    // Equal series: the first one scanned is kept, and that is index 0.
+    val sim = new OdysseySim(Array(9L, 3L, 5L), Array(s, s.clone(), s.map(_ + 1)), paaW = 2)
+    assert(sim.knnScanned(s, 1) == ((Seq((9L, 0.0)), 3)))
+  }
 }

@@ -1,5 +1,9 @@
 package repro.scan
 
+import org.apache.spark.SparkException
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.{GenericInternalRow, UnsafeArrayData}
+import org.apache.spark.sql.catalyst.util.GenericArrayData
 import org.apache.spark.sql.functions.col
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
@@ -112,6 +116,88 @@ class DssSpec extends SparkSpec {
         ok
       })
     assert(res.passed, res.status.toString)
+  }
+
+  private def bits(got: Seq[(Long, Double)]): Seq[(Long, Long)] =
+    got.map { case (id, d) => (id, java.lang.Double.doubleToLongBits(d)) }
+
+  test("top-K of one large partition equals a driver-side sort, duplicates and NaN included") {
+    import spark.implicits._
+    // Up to 5,000 rows in one partition, so the buffer is cut to K again and
+    // again and the partial quicksort partitions long ranges. Coordinates
+    // from {-1, 0, 1} and rows copied from earlier rows make many exact ties.
+    val cases = for {
+      n <- Gen.choose(2, 5000)
+      dim <- Gen.choose(1, 4)
+      nq <- Gen.choose(1, 3)
+      k <- Gen.oneOf(Gen.const(1), Gen.choose(1, n - 1), Gen.const(n), Gen.const(n + 5))
+      seed <- Gen.long
+    } yield (n, dim, nq, k, seed)
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(20),
+      Prop.forAllNoShrink(cases) { case (n, dim, nq, k, seed) =>
+        val rnd = new scala.util.Random(seed)
+        def fresh(): Array[Double] = Array.fill(dim)((rnd.nextInt(3) - 1).toDouble)
+        val series = new Array[Array[Double]](n)
+        for (i <- 0 until n)
+          series(i) = if (i > 0 && rnd.nextBoolean()) series(rnd.nextInt(i)).clone() else fresh()
+        series(rnd.nextInt(n)) = Array.fill(dim)(Double.NaN)
+        val ids = Array.tabulate(n)(i => rnd.nextInt(1000).toLong * 8192 + i)
+        val queries = Array.fill(nq)(fresh())
+        val one = series.indices.map(i => (ids(i), series(i))).toDF("id", "series").coalesce(1)
+        val got = Dss.topK(one, None, Seq(0), queries, k)
+        queries.indices.forall { q =>
+          val exp = series.indices.map(i => (ids(i), Distances.euclidean(series(i), queries(q))))
+            .sortWith { case ((ia, da), (ib, db)) =>
+              val c = java.lang.Double.compare(da, db); c < 0 || (c == 0 && ia < ib)
+            }
+            .take(k)
+          bits(got(q)) == bits(exp)
+        }
+      })
+    assert(res.passed, res.status.toString)
+  }
+
+  test("distance keys order as java.lang.Double.compare and decode to the same bits") {
+    val nans = Seq(0x7ff8000000000000L, 0x7ff0000000000001L, 0x7fffffffffffffffL,
+      0xfff8000000000000L, 0xffffffffffffffffL).map(java.lang.Double.longBitsToDouble)
+    val xs = Seq(Double.NegativeInfinity, -Double.MaxValue, -1.5, -Double.MinPositiveValue, -0.0,
+      0.0, Double.MinPositiveValue, 1.5, Double.MaxValue, Double.PositiveInfinity) ++ nans
+    for (a <- xs; b <- xs)
+      assert(java.lang.Long.compare(KeySort.key(a), KeySort.key(b)).sign ==
+        java.lang.Double.compare(a, b).sign, s"$a vs $b")
+    for (x <- xs)
+      assert(java.lang.Double.doubleToLongBits(KeySort.distance(KeySort.key(x))) ==
+        java.lang.Double.doubleToLongBits(x), s"$x")
+  }
+
+  test("a stored series whose length differs from the query's fails the job") {
+    import spark.implicits._
+    val bad = Seq((0L, Array(1.0, 2.0, 3.0)), (1L, Array(1.0, 2.0))).toDF("id", "series")
+    val e = intercept[SparkException](Dss.knn(bad, Array(0.0, 0.0, 0.0), 1))
+    assert(e.getMessage.contains("length mismatch 2 vs 3"), e.getMessage)
+  }
+
+  test("series held in another ArrayData than UnsafeArrayData give the same bits") {
+    val seriesIdx = df.schema.fieldIndex("series")
+    assert(df.queryExecution.toRdd.map(_.getArray(seriesIdx).isInstanceOf[UnsafeArrayData])
+      .collect().forall(identity), "the cached rows are expected to hold UnsafeArrayData")
+    val generic = spark.sparkContext.parallelize[InternalRow]((0L until 500L).map(id =>
+      new GenericInternalRow(Array[Any](id, new GenericArrayData(SeriesGen.local("RandomWalk", id, 6))))), 3)
+    val qs = Array(SeriesGen.local("RandomWalk", 42L, 6), SeriesGen.local("RandomWalk", 7L, 6))
+    val got = Dss.rank(generic, new Dss.Rank(0, 1, -1, "", qs, 40), 0 until 3)
+    val exp = Dss.topK(df, None, 0 until df.queryExecution.toRdd.getNumPartitions, qs, 40)
+    assert(got.map(bits).toSeq == exp.map(bits).toSeq)
+  }
+
+  test("the task runJob gets is a named Serializable class, which closure cleaning skips") {
+    // `topK` runs its job through `Dss.rank`, whose task parameter is a `Rank`.
+    val task = new Dss.Rank(0, 1, -1, "", Array(Array(0.0)), 1)
+    val cls = task.getClass
+    assert(task.isInstanceOf[java.io.Serializable])
+    assert(!cls.isSynthetic && !cls.getName.contains("$anonfun$") && !cls.getName.contains("$Lambda"),
+      cls.getName)
+    // Spark recognises a Scala lambda by its serialization proxy.
+    assert(!cls.getDeclaredMethods.exists(_.getName == "writeReplace"))
   }
 
   test("Dss exact top-k agrees with a DuckDB SQL formulation (oracle)") {
