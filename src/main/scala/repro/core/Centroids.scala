@@ -20,10 +20,18 @@ object Centroids {
               maxCentroids: Int = Int.MaxValue): IndexedSeq[Array[Int]] = {
     require(alpha > 0 && alpha <= 1.0, s"sample fraction α=$alpha out of (0,1]")
     if (l.isEmpty) return IndexedSeq.empty
-    // Line 2: sort descending by frequency (id-order tie-break for determinism).
-    val sorted = l.sortBy(sf => (-sf.freq, sf.sig.toSeq.mkString(","))).toIndexedSeq
-    val totalFreq = sorted.map(_.freq).sum
+    // Line 2: sort descending by frequency, ties by the signature's string
+    // form (for determinism). Each key is built once, not per comparison;
+    // the object sort is stable, as `sortBy` is.
+    val byKey: Ordering[(Long, String, SigFreq)] = (a, b) => {
+      val c = java.lang.Long.compare(a._1, b._1)
+      if (c != 0) c else a._2.compareTo(b._2)
+    }
+    val sorted = l.iterator.map(sf => (-sf.freq, sf.sig.mkString(","), sf)).toArray
+      .sorted(byKey).map(_._3)
+    val totalFreq = sorted.iterator.map(_.freq).sum
     val picked = scala.collection.mutable.ArrayBuffer[SigFreq](sorted.head) // Line 3
+    var pickedFreq = sorted.head.freq
     var stop = false
     var i = 1
     while (!stop && i < sorted.length) {
@@ -33,12 +41,12 @@ object Centroids {
       if (!tooClose) {
         // Lines 10-13: estimated group size assuming the non-centroid mass is
         // spread uniformly over the (k+1) groups we would then have.
-        val pickedFreq = picked.map(_.freq).sum + cand.freq
-        val rest = totalFreq - pickedFreq
+        val rest = totalFreq - (pickedFreq + cand.freq)
         val sizeEst = cand.freq + rest.toDouble / (picked.size + 1)
         if (sizeEst < alpha * capacity) stop = true // Lines 12-13
         else {
           picked += cand // Line 14
+          pickedFreq += cand.freq
           if (picked.size == maxCentroids) stop = true // Lines 15-16
         }
       }

@@ -25,7 +25,10 @@ final case class ClimberParams(
   val maxCentroids: Int = Int.MaxValue
 }
 
-/** Wall-clock breakdown of index construction (Figure 10(a) phases). */
+/** Wall-clock breakdown of index construction (Figure 10(a) phases). The
+  * last three fields split `skeletonSec`; what they leave out of it (the
+  * driver-side P⁴⇉ fold, unpersisting the sample) is small.
+  */
 final case class BuildStats(
     skeletonSec: Double, // Steps 1-3: sampling + signatures + skeleton
     redistributeSec: Double, // Step 4: full-dataset conversion + re-distribution
@@ -33,6 +36,9 @@ final case class BuildStats(
     numGroups: Int,
     numPartitions: Int,
     skeletonBytes: Long,
+    pivotsSec: Double, // Steps 1-2: sample materialization + pivot pick
+    aggregateSec: Double, // Step 2: the P⁴→ group-by and its collect
+    skeletonBuildSec: Double, // Step 3: Algorithm 2 + tries + FFD packing
 )
 
 /** A fully built CLIMBER index: the broadcastable skeleton, the pivot set,
@@ -75,14 +81,17 @@ object ClimberIndex {
       .withColumn("paa", paa(col("series")))
       .cache()
     val pivots = Pivots.select(sample, "paa", params.numPivots, params.prefixLen, params.seed)
+    val tPivots = System.nanoTime()
     val bcPivots = spark.sparkContext.broadcast(pivots)
-    val rsUdf = udf((paaV: Seq[Double]) => bcPivots.value.rankSensitive(paaV.toArray))
+    val rsUdf = udf((paaV: Array[Double]) => bcPivots.value.rankSensitive(paaV))
     val rsAgg = sample.groupBy(rsUdf(col("paa")).as("rs")).count().collect().toSeq
       .map(r => SigFreq(r.getSeq[Int](0).toArray, r.getLong(1)))
+    val tAggregate = System.nanoTime()
     sample.unpersist()
     val riAgg = PivotSet.rankInsensitiveAgg(rsAgg)
 
     // Step 3: centroids, groups, tries, FFD packing → index skeleton.
+    val tSkeleton = System.nanoTime()
     val skeleton = IndexSkeleton.build(riAgg, rsAgg, params.alpha, params.capacity,
       params.eps, params.decay, params.maxCentroids)
     val t1 = System.nanoTime()
@@ -91,8 +100,8 @@ object ClimberIndex {
     // dataset. repartitionById shuffles through an exact partitioner (Spark
     // partition = part), the analogue of one HDFS file per CLIMBER partition.
     val bcSkel = spark.sparkContext.broadcast(skeleton)
-    val placeUdf = udf { (id: Long, series: Seq[Double]) =>
-      val (rs, ri) = bcPivots.value.dual(Paa.of(series.toArray, params.paaW))
+    val placeUdf = udf { (id: Long, series: Array[Double]) =>
+      val (rs, ri) = bcPivots.value.dual(Paa.of(series, params.paaW))
       bcSkel.value.place(id, rs, ri)
     }
     val data = df
@@ -110,6 +119,9 @@ object ClimberIndex {
       numGroups = skeleton.groups.size,
       numPartitions = skeleton.numPartitions,
       skeletonBytes = serializedBytes(skeleton),
+      pivotsSec = (tPivots - t0) / 1e9,
+      aggregateSec = (tAggregate - tPivots) / 1e9,
+      skeletonBuildSec = (t1 - tSkeleton) / 1e9,
     )
     ClimberIndex(params, pivots, skeleton, data, stats)
   }

@@ -70,15 +70,22 @@ object Distances {
     * centroid. Smaller means the centroid covers X's most important pivots.
     */
   def weightDistance(rs: Array[Int], centroid: Array[Int], decay: Decay): Double = {
-    val m = rs.length
-    val w = pivotWeights(m, decay)
+    val w = pivotWeights(rs.length, decay)
+    w.sum - coveredWeight(rs, centroid, w)
+  }
+
+  /** The decayed weights `w` (Def. 9, one per position of `rs`) of the
+    * pivots of `rs` present in the centroid: Weight Distance is TW minus
+    * this. Callers that rank many centroids compute `w` once.
+    */
+  def coveredWeight(rs: Array[Int], centroid: Array[Int], w: Array[Double]): Double = {
     var covered = 0.0
     var i = 0
-    while (i < m) {
+    while (i < rs.length) {
       if (java.util.Arrays.binarySearch(centroid, rs(i)) >= 0) covered += w(i)
       i += 1
     }
-    w.sum - covered
+    covered
   }
 
   /** Standard PAA lower bound on ED for z-length-n series reduced to w

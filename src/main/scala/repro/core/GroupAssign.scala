@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 import repro.core.Distances.Decay
 
 /** Algorithm 1 — Group Assignment Rules (§IV-C).
@@ -25,34 +27,68 @@ object GroupAssign {
   /** Lines 1-7: the ascending ids of the centroids at the smallest Overlap
     * Distance to `ri`, or `Seq(0)` (G₀) when `ri` overlaps no centroid.
     */
-  def odSmallest(ri: Array[Int], centroids: IndexedSeq[Array[Int]]): Seq[Int] = {
-    val od = centroids.map(c => Distances.overlap(c, ri))
-    val minOd = if (od.isEmpty) ri.length else od.min
-    if (minOd == ri.length) Seq(0)
-    else od.indices.filter(i => od(i) == minOd).map(_ + 1)
-  }
+  def odSmallest(ri: Array[Int], centroids: IndexedSeq[Array[Int]]): Seq[Int] =
+    ArraySeq.unsafeWrapArray(odTies(ri, centroids))
 
   /** Lines 1-12 (Algorithm 3, lines 5-9): the smallest-OD groups, narrowed
     * on ties to those at the smallest Weight Distance. Ascending ids.
     */
   def rank(rs: Array[Int], ri: Array[Int], centroids: IndexedSeq[Array[Int]],
-           decay: Decay): Seq[Int] = {
-    val best = odSmallest(ri, centroids)
-    if (best.size == 1) best
-    else {
-      val wd = best.map(g => Distances.weightDistance(rs, centroids(g - 1), decay))
-      val minWd = wd.min
-      best.zip(wd).collect { case (g, d) if d == minWd => g }
-    }
-  }
+           decay: Decay): Seq[Int] =
+    ArraySeq.unsafeWrapArray(ranked(rs, ri, centroids, decay))
 
   /** Assign one object. `centroids` maps 1-based group id → sorted
     * rank-insensitive signature. Returns the chosen group id (0 = G₀).
     */
   def assign(recordId: Long, rs: Array[Int], ri: Array[Int],
              centroids: IndexedSeq[Array[Int]], decay: Decay): Int = {
-    val best = rank(rs, ri, centroids, decay)
+    val best = ranked(rs, ri, centroids, decay)
     // Lines 13-14: second tie — (deterministic) random pick.
-    if (best.size == 1) best.head else tieBreak(recordId, best)
+    if (best.length == 1) best(0) else tieBreak(recordId, ArraySeq.unsafeWrapArray(best))
+  }
+
+  /** `rank` on primitive arrays, the one implementation behind all three
+    * public functions.
+    */
+  private def ranked(rs: Array[Int], ri: Array[Int], centroids: IndexedSeq[Array[Int]],
+                     decay: Decay): Array[Int] = {
+    val best = odTies(ri, centroids)
+    if (best.length == 1) best else wdTies(best, rs, centroids, decay)
+  }
+
+  /** Lines 1-7, computing each centroid's OD once. */
+  private def odTies(ri: Array[Int], centroids: IndexedSeq[Array[Int]]): Array[Int] = {
+    val n = centroids.length
+    val od = new Array[Int](n)
+    var minOd = ri.length // an OD is at most m, and m for every centroid means G₀
+    var ties = 0
+    var i = 0
+    while (i < n) {
+      od(i) = Distances.overlap(centroids(i), ri)
+      if (od(i) < minOd) { minOd = od(i); ties = 1 }
+      else if (od(i) == minOd) ties += 1
+      i += 1
+    }
+    if (minOd == ri.length) return Array(0)
+    val ids = new Array[Int](ties)
+    var t = 0
+    i = 0
+    while (t < ties) {
+      if (od(i) == minOd) { ids(t) = i + 1; t += 1 }
+      i += 1
+    }
+    ids
+  }
+
+  /** Lines 8-12: the OD-tied ids `best` at the smallest Weight Distance,
+    * with `rs`'s decay weights computed once for all of them.
+    */
+  private def wdTies(best: Array[Int], rs: Array[Int], centroids: IndexedSeq[Array[Int]],
+                     decay: Decay): Array[Int] = {
+    val w = Distances.pivotWeights(rs.length, decay)
+    val tw = w.sum
+    val wd = best.map(g => tw - Distances.coveredWeight(rs, centroids(g - 1), w))
+    val minWd = wd.min
+    best.indices.iterator.filter(wd(_) == minWd).map(best(_)).toArray
   }
 }

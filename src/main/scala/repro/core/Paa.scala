@@ -32,9 +32,12 @@ object Paa {
     out
   }
 
-  /** Column transform: array<double> series → array<double> PAA of width `w`. */
+  /** Column transform: array<double> series → array<double> PAA of width `w`.
+    * The UDF takes `Array[Double]`, which Spark decodes straight from the
+    * row's array data; a `Seq[Double]` input would box every element.
+    */
   def paaUdf(w: Int): Column => Column = {
-    val f = udf((xs: Seq[Double]) => of(xs.toArray, w))
+    val f = udf((xs: Array[Double]) => of(xs, w))
     (c: Column) => f(c)
   }
 }

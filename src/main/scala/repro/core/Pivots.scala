@@ -74,12 +74,19 @@ object PivotSet {
 object Pivots {
 
   /** Select `r` random pivots (with prefix length `m`) from the PAA vectors
-    * of a sample DataFrame with column `paaCol`. Deterministic in `seed`.
+    * of a sample DataFrame with column `paaCol`: the `r` rows of smallest
+    * seeded hash of the vector's string form. Deterministic in `seed`.
+    *
+    * The hash is projected as a column once per row before the top-r, so the
+    * per-partition top-r and its merge compare longs; ordering by the
+    * expression itself would re-cast and re-hash both rows on every
+    * comparison. Rows of equal hash hold equal vectors (barring a 64-bit
+    * collision), so how ties are broken cannot change the pick.
     */
   def select(sample: DataFrame, paaCol: String, r: Int, m: Int, seed: Long): PivotSet = {
     val rows = sample
-      .select(paaCol)
-      .orderBy(xxhash64(col(paaCol).cast("string"), lit(seed)))
+      .select(col(paaCol), xxhash64(col(paaCol).cast("string"), lit(seed)).as("_h"))
+      .orderBy("_h")
       .limit(r)
       .collect()
       .map(_.getSeq[Double](0).toArray)

@@ -40,7 +40,7 @@ object BaselineCommon {
             alpha: Double, seed: Long,
             mkRouter: Seq[(Array[Int], Long)] => WordRouter): BaselineIndex = {
     val t0 = System.nanoTime()
-    val wordUdf = udf { (xs: Seq[Double]) => wordOf(xs.toArray, paaW, bits) }
+    val wordUdf = udf { (xs: Array[Double]) => wordOf(xs, paaW, bits) }
     val sampleWords = df.sample(withReplacement = false, alpha, seed)
       .select(wordUdf(col("series")).as("word"))
       .groupBy("word").count()
@@ -49,7 +49,7 @@ object BaselineCommon {
       .toSeq
     val router = mkRouter(sampleWords)
     val bc = spark.sparkContext.broadcast(router)
-    val routeUdf = udf { (xs: Seq[Double]) => bc.value.route(wordOf(xs.toArray, paaW, bits)) }
+    val routeUdf = udf { (xs: Array[Double]) => bc.value.route(wordOf(xs, paaW, bits)) }
     val data = df.select(col("id"), col("series"), routeUdf(col("series")).as("part"))
       .repartitionById(router.numPartitions, col("part"))
       .cache()

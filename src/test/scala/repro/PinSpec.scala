@@ -9,7 +9,8 @@ import repro.memory.Hnsw
 import repro.series.SeriesGen
 
 /** Exact outputs pinned as constants: generated series, Algorithm 1's
-  * tie-break, index placement, query plans, kNN results and HNSW search.
+  * tie-break, the selected pivots, the serialized skeleton, index placement,
+  * query plans, kNN results and HNSW search.
   * A refactor that moves any of them by one bit fails here.
   */
 class PinSpec extends SparkSpec {
@@ -40,6 +41,15 @@ class PinSpec extends SparkSpec {
     ClimberParams(paaW = 16, numPivots = 24, prefixLen = 4, alpha = 0.3, capacity = 200, seed = 7))
   private lazy val queries =
     (0L until 20L).map(i => i * 97 -> SeriesGen.local("RandomWalk", i * 97, 1))
+
+  test("the selected pivots and the serialized skeleton are pinned") {
+    val pivots = MurmurHash3.seqHash(index.pivots.vectors.toSeq.map(java.util.Arrays.hashCode))
+    val bos = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bos)
+    oos.writeObject(index.skeleton); oos.close()
+    val skeleton = (ClimberIndex.serializedBytes(index.skeleton), MurmurHash3.bytesHash(bos.toByteArray))
+    assert((pivots, skeleton) == ((2108846099, (3894L, -1236908198))))
+  }
 
   test("placement of every record is pinned") {
     val rows = index.data.select("id", "group", "part").collect()

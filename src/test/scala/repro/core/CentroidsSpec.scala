@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
 import repro.core.Centroids.SigFreq
 
@@ -82,6 +83,58 @@ class CentroidsSpec extends SparkSpec {
     val a = Centroids.compute(l, 1.0, 1, 1)
     val b = Centroids.compute(l.reverse, 1.0, 1, 1)
     assert(a.map(_.toSeq) == b.map(_.toSeq))
+  }
+
+  /** The earlier formulation, kept as the reference: `sortBy` rebuilds each
+    * signature's string on every comparison and the picked frequencies are
+    * re-summed for every candidate.
+    */
+  private def reference(l: Seq[SigFreq], alpha: Double, capacity: Long, epsilon: Int,
+                        maxCentroids: Int): IndexedSeq[Array[Int]] = {
+    if (l.isEmpty) return IndexedSeq.empty
+    val sorted = l.sortBy(sf => (-sf.freq, sf.sig.toSeq.mkString(","))).toIndexedSeq
+    val totalFreq = sorted.map(_.freq).sum
+    val picked = scala.collection.mutable.ArrayBuffer[SigFreq](sorted.head)
+    var stop = false
+    var i = 1
+    while (!stop && i < sorted.length) {
+      val cand = sorted(i)
+      val tooClose = picked.exists(c => Distances.overlap(c.sig, cand.sig) < epsilon)
+      if (!tooClose) {
+        val pickedFreq = picked.map(_.freq).sum + cand.freq
+        val rest = totalFreq - pickedFreq
+        val sizeEst = cand.freq + rest.toDouble / (picked.size + 1)
+        if (sizeEst < alpha * capacity) stop = true
+        else {
+          picked += cand
+          if (picked.size == maxCentroids) stop = true
+        }
+      }
+      i += 1
+    }
+    picked.map(_.sig).toIndexedSeq
+  }
+
+  test("compute equals the sortBy formulation, frequency ties and ids ≥ 10 included") {
+    // Pivot ids up to 24 and few distinct frequencies: many ties are broken
+    // by the string form, where <10,…> sorts before <2,…>.
+    val inputs = for {
+      m <- Gen.choose(1, 4)
+      l <- Gen.listOf(for {
+        sig <- Gen.pick(m, 0 until 25).map(_.sorted.toArray)
+        freq <- Gen.choose(1L, 4L)
+      } yield SigFreq(sig, freq))
+      alpha <- Gen.oneOf(0.1, 0.5, 1.0)
+      capacity <- Gen.choose(1L, 40L)
+      eps <- Gen.choose(0, m)
+      maxCentroids <- Gen.oneOf(Int.MaxValue, 1, 3)
+    } yield (l, alpha, capacity, eps, maxCentroids)
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(500),
+      Prop.forAll(inputs) { case (l, alpha, capacity, eps, maxCentroids) =>
+        Centroids.compute(l, alpha, capacity, eps, maxCentroids).map(_.toSeq) ==
+          reference(l, alpha, capacity, eps, maxCentroids).map(_.toSeq)
+      })
+    assert(res.passed, res.status.toString)
   }
 
   test("invalid α is rejected") {

@@ -93,6 +93,13 @@ class ClimberIndexSpec extends SparkSpec {
     assert(s.skeletonBytes > 0)
   }
 
+  test("the skeleton phase timings are non-negative and split skeletonSec") {
+    val s = index.stats
+    val phases = Seq(s.pivotsSec, s.aggregateSec, s.skeletonBuildSec)
+    assert(phases.forall(_ >= 0), phases)
+    assert(phases.sum <= s.skeletonSec, (phases, s.skeletonSec))
+  }
+
   test("the skeleton is small relative to the data (global-index property)") {
     // Paper Fig. 8(b): the global index is tiny (MBs for TBs of data).
     assert(index.stats.skeletonBytes < 5 * 1024 * 1024)

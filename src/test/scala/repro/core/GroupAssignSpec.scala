@@ -1,7 +1,8 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
-import repro.core.Distances.ExpDecay
+import repro.core.Distances.{Decay, ExpDecay, LinearDecay}
 
 class GroupAssignSpec extends SparkSpec {
 
@@ -76,6 +77,70 @@ class GroupAssignSpec extends SparkSpec {
     val cands = Seq(1, 2, 3, 4)
     val seen = (0L until 500L).map(GroupAssign.tieBreak(_, cands)).toSet
     assert(seen == cands.toSet)
+  }
+
+  /** The earlier collection formulation of Algorithm 1, kept as the
+    * reference, with the Weight Distance of Def. 11 as it was written.
+    */
+  private object Reference {
+    def weightDistance(rs: Array[Int], centroid: Array[Int], decay: Decay): Double = {
+      val m = rs.length
+      val w = Distances.pivotWeights(m, decay)
+      var covered = 0.0
+      var i = 0
+      while (i < m) {
+        if (java.util.Arrays.binarySearch(centroid, rs(i)) >= 0) covered += w(i)
+        i += 1
+      }
+      w.sum - covered
+    }
+
+    def odSmallest(ri: Array[Int], centroids: IndexedSeq[Array[Int]]): Seq[Int] = {
+      val od = centroids.map(c => Distances.overlap(c, ri))
+      val minOd = if (od.isEmpty) ri.length else od.min
+      if (minOd == ri.length) Seq(0)
+      else od.indices.filter(i => od(i) == minOd).map(_ + 1)
+    }
+
+    def rank(rs: Array[Int], ri: Array[Int], centroids: IndexedSeq[Array[Int]],
+             decay: Decay): Seq[Int] = {
+      val best = odSmallest(ri, centroids)
+      if (best.size == 1) best
+      else {
+        val wd = best.map(g => weightDistance(rs, centroids(g - 1), decay))
+        val minWd = wd.min
+        best.zip(wd).collect { case (g, d) if d == minWd => g }
+      }
+    }
+
+    def assign(recordId: Long, rs: Array[Int], ri: Array[Int],
+               centroids: IndexedSeq[Array[Int]], decay: Decay): Int = {
+      val best = rank(rs, ri, centroids, decay)
+      if (best.size == 1) best.head else GroupAssign.tieBreak(recordId, best)
+    }
+  }
+
+  test("odSmallest, rank and assign equal the collection formulation") {
+    // Pivot ids from a universe of 8 and up to 8 centroids, repeats allowed:
+    // OD ties, WD ties (a repeated centroid, or two covering the same pivots
+    // of rs), the G₀ fall-back and the empty centroid list all occur.
+    val inputs = for {
+      m <- Gen.choose(1, 4)
+      centroids <- Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.pick(m, 0 until 8)))
+      set <- Gen.pick(m, 0 until 8)
+      shuffle <- Gen.long
+      rs = new scala.util.Random(shuffle).shuffle(set.toList)
+      decay <- Gen.oneOf[Decay](ExpDecay(0.5), ExpDecay(0.9), LinearDecay)
+      id <- Gen.long
+    } yield (centroids.map(_.sorted.toArray).toIndexedSeq, rs.toArray, decay, id)
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000),
+      Prop.forAll(inputs) { case (cs, rs, decay, id) =>
+        val ri = rs.sorted
+        GroupAssign.odSmallest(ri, cs) == Reference.odSmallest(ri, cs) &&
+          GroupAssign.rank(rs, ri, cs, decay) == Reference.rank(rs, ri, cs, decay) &&
+          GroupAssign.assign(id, rs, ri, cs, decay) == Reference.assign(id, rs, ri, cs, decay)
+      })
+    assert(res.passed, res.status.toString)
   }
 
   test("a centroid that is a superset-overlap beats a partial overlap") {

@@ -1,6 +1,8 @@
 package repro.core
 
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.types.{ArrayType, DoubleType, StructField, StructType}
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
 import repro.series.SeriesGen
@@ -124,6 +126,35 @@ class PivotsSpec extends SparkSpec {
     assert(a.numPivots == 10 && a.prefixLen == 4)
     assert(a.vectors.map(_.toSeq).toSeq == b.vectors.map(_.toSeq).toSeq)
     assert(a.vectors.map(_.toSeq).toSeq != c.vectors.map(_.toSeq).toSeq)
+  }
+
+  test("select picks the rows that ordering by the seeded hash expression picks") {
+    // The earlier formulation, kept as the reference: Spark's top-r orders
+    // by the hash expression, evaluated inside its comparator.
+    def reference(df: DataFrame, r: Int, seed: Long): Seq[Seq[Double]] =
+      df.select("paa").orderBy(xxhash64(col("paa").cast("string"), lit(seed))).limit(r)
+        .collect().map(_.getSeq[Double](0)).toSeq
+    // Rows drawn from a small pool, so PAA rows repeat.
+    val samples = for {
+      dim <- Gen.choose(1, 4)
+      pool <- Gen.listOfN(6, Gen.listOfN(dim, Gen.choose(-20, 20).map(_ / 4.0)))
+      rows <- Gen.nonEmptyListOf(Gen.oneOf(pool)).map(_.take(40))
+      slices <- Gen.choose(1, 4)
+      seed <- Gen.choose(0L, 1000L)
+    } yield (rows, slices, seed)
+    val schema = StructType(Seq(StructField("paa", ArrayType(DoubleType))))
+    // No shrinking: it would break the equal dimension of the pool's rows.
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(25),
+      Prop.forAllNoShrink(samples) { case (rows, slices, seed) =>
+        val n = rows.size
+        val df = spark.createDataFrame(
+          spark.sparkContext.parallelize(rows.map(v => Row(v.toArray)), slices), schema)
+        Seq(1, math.max(1, n / 2), n, n + 3).forall { r =>
+          val ps = Pivots.select(df, "paa", r, 2, seed)
+          ps.vectors.map(_.toSeq).toSeq == reference(df, r, seed) && ps.prefixLen == Seq(2, n, r).min
+        }
+      })
+    assert(res.passed, res.status.toString)
   }
 
   test("select caps the prefix length at the pivot count") {
