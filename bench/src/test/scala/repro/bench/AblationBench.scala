@@ -9,9 +9,8 @@ import repro.exp.Ablation
   */
 class AblationBench extends SparkSpec {
 
-  private lazy val odRows = Ablation.runOdSmallest(spark, Ablation.Config())
-  private lazy val prefixRows = Ablation.runPrefix(spark,
-    Ablation.Config())
+  private lazy val odRows = Ablation.runOdSmallest(spark)
+  private lazy val prefixRows = Ablation.runPrefix(spark)
 
   test("Figure 11(b): run and print the OD-Smallest comparison") {
     println("===== Figure 11(b): OD-Smallest vs CLIMBER variations =====")

@@ -10,7 +10,7 @@ import repro.exp.FigNine
   */
 class FigNineBench extends SparkSpec {
 
-  private lazy val rows = FigNine.run(spark, FigNine.Config())
+  private lazy val rows = FigNine.run(spark)
   private def recallOf(sys: String, k: Int): Double =
     rows.find(r => r.system == sys && r.k == k).get.recall
 
@@ -25,12 +25,12 @@ class FigNineBench extends SparkSpec {
   }
 
   test("Fig 9 shape: CLIMBER variants beat DPiSAX at every K") {
-    for (k <- FigNine.Config().ks)
+    for (k <- FigNine.Ks)
       assert(recallOf("CLIMBER-kNN-Adaptive-4X", k) > recallOf("DPiSAX", k), s"K=$k")
   }
 
   test("Fig 9 shape: CLIMBER-Adaptive-4X is the best approximate variant overall") {
-    val ks = FigNine.Config().ks
+    val ks = FigNine.Ks
     val mean4x = ks.map(recallOf("CLIMBER-kNN-Adaptive-4X", _)).sum / ks.size
     for (sys <- Seq("DPiSAX", "TARDIS", "CLIMBER-kNN"))
       assert(mean4x >= ks.map(recallOf(sys, _)).sum / ks.size - 1e-9, sys)
@@ -46,7 +46,7 @@ class FigNineBench extends SparkSpec {
   }
 
   test("Fig 9 shape: adaptive variants win at large K") {
-    val k = FigNine.Config().ks.max
+    val k = FigNine.Ks.max
     assert(recallOf("CLIMBER-kNN-Adaptive-4X", k) >= recallOf("CLIMBER-kNN", k) - 1e-9)
     assert(recallOf("CLIMBER-kNN-Adaptive-4X", k) >= recallOf("CLIMBER-kNN-Adaptive-2X", k) - 0.05)
   }
@@ -55,7 +55,7 @@ class FigNineBench extends SparkSpec {
     // §VII-B: query time is dominated by the partitions touched; at bench
     // scale per-job overhead masks wall-clock contrasts, so the scan volume
     // carries the shape (Dss at 100k rows vs ~1 capacity-sized partition).
-    for (k <- FigNine.Config().ks) {
+    for (k <- FigNine.Ks) {
       val dss = rows.find(r => r.system == "Dss" && r.k == k).get.rowsScanned
       for (sys <- Seq("DPiSAX", "TARDIS", "CLIMBER-kNN", "CLIMBER-kNN-Adaptive-4X")) {
         val r = rows.find(r => r.system == sys && r.k == k).get
@@ -65,7 +65,7 @@ class FigNineBench extends SparkSpec {
   }
 
   test("Fig 9(b) shape: Dss wall clock is never much faster than the approximate systems") {
-    for (k <- FigNine.Config().ks) {
+    for (k <- FigNine.Ks) {
       val dss = rows.find(r => r.system == "Dss" && r.k == k).get.qrtSec
       for (sys <- Seq("DPiSAX", "TARDIS", "CLIMBER-kNN"))
         assert(dss >= 0.5 * rows.find(r => r.system == sys && r.k == k).get.qrtSec, s"K=$k $sys")
@@ -73,7 +73,7 @@ class FigNineBench extends SparkSpec {
   }
 
   test("Fig 9(b) shape: approximate systems are in the same ballpark") {
-    for (k <- FigNine.Config().ks) {
+    for (k <- FigNine.Ks) {
       val ts = Seq("DPiSAX", "TARDIS", "CLIMBER-kNN", "CLIMBER-kNN-Adaptive-4X")
         .map(sys => rows.find(r => r.system == sys && r.k == k).get.qrtSec)
       assert(ts.max <= 12 * math.max(0.02, ts.min), s"K=$k: $ts")

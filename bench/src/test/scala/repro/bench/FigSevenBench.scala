@@ -2,6 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.exp.FigSeven
+import repro.series.SeriesGen
 
 /** Reproduces **Figures 7(a,b) + 8(a,b)** as a table: per-dataset query
   * time, recall, index construction time, and global index size for Dss,
@@ -11,8 +12,8 @@ import repro.exp.FigSeven
   */
 class FigSevenBench extends SparkSpec {
 
-  private lazy val rows = FigSeven.run(spark, FigSeven.Config())
-  private val datasets = FigSeven.Config().datasets
+  private lazy val rows = FigSeven.run(spark)
+  private val datasets = SeriesGen.Datasets
   private def row(ds: String, sys: String) =
     rows.find(r => r.dataset == ds && r.system == sys).get
 

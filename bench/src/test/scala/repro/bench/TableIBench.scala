@@ -11,7 +11,7 @@ import repro.exp.TableOne
   */
 class TableIBench extends SparkSpec {
 
-  private lazy val rows = TableOne.run(spark, TableOne.Config())
+  private lazy val rows = TableOne.run(spark)
 
   test("Table I: run and print the full comparison") {
     println("===== Table I: Comparison with In-Memory Systems =====")
@@ -21,7 +21,7 @@ class TableIBench extends SparkSpec {
 
   test("Table I shape: CLIMBER scales to every size (no X rows)") {
     val climber = rows.filter(_.system == "CLIMBER")
-    assert(climber.size == TableOne.Config().sizesGb.size)
+    assert(climber.size == TableOne.SizesGb.size)
     assert(climber.forall(_.status == "ok"))
   }
 

@@ -21,8 +21,8 @@ object TableIJob {
   def main(args: Array[String]): Unit = {
     val spark = JobSession.get("climber-table1")
     val sizes = if (args.nonEmpty) args(0).split(",").map(_.trim.toInt).toSeq
-                else TableOne.Config().sizesGb
-    val rows = TableOne.run(spark, TableOne.Config(sizesGb = sizes))
+                else TableOne.SizesGb
+    val rows = TableOne.run(spark, sizes)
     println(TableOne.render(rows))
     spark.stop()
   }

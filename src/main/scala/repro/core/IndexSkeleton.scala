@@ -70,17 +70,14 @@ object IndexSkeleton {
       val sigs = byGroup.getOrElse(g, Seq.empty).map { sf =>
         (sf.sig, math.max(1L, math.round(sf.freq / alpha)))
       }
+      // Every group owns at least one partition, so unseen data has a home:
+      // a trie always has a leaf (a group with no sampled signature is a
+      // root leaf of size 0), and FFD packing opens a partition for it.
       val (root, occ) = Trie.build(sigs, capacity, partitionBase)
-      // Every group owns at least one partition so unseen data has a home.
-      val nParts = math.max(1, occ.length)
-      val occupancy = if (occ.isEmpty) Array(0L) else occ
-      val defaultPart = partitionBase + occupancy.zipWithIndex.minBy { case (o, i) => (o, i) }._2
+      val defaultPart = partitionBase + occ.zipWithIndex.minBy { case (o, i) => (o, i) }._2
       val centroid = if (g == 0) Array.empty[Int] else centroids(g - 1)
-      val root2 =
-        if (occ.isEmpty) root.copy(leafPartition = partitionBase, partitions = Array(partitionBase))
-        else root
-      val group = Group(g, centroid, root2, defaultPart)
-      partitionBase += nParts
+      val group = Group(g, centroid, root, defaultPart)
+      partitionBase += occ.length
       group
     }
     IndexSkeleton(groups, partitionBase, capacity, decay)

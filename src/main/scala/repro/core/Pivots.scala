@@ -15,13 +15,21 @@ import repro.core.Centroids.SigFreq
 final case class PivotSet(vectors: Array[Array[Double]], prefixLen: Int) extends Serializable {
   require(prefixLen >= 1 && prefixLen <= vectors.length,
     s"prefix length $prefixLen must be in [1, ${vectors.length}]")
+  require(vectors.forall(_.length == vectors(0).length),
+    s"pivots must share one PAA width, got widths ${vectors.map(_.length).distinct.mkString(", ")}")
 
   def numPivots: Int = vectors.length
+
+  /** PAA width of every pivot, and of every vector this set ranks. */
+  def width: Int = vectors(0).length
 
   /** Rank-sensitive signature (Def. 5/6): ids of the m nearest pivots,
     * closest first.
     */
   def rankSensitive(paa: Array[Double]): Array[Int] = {
+    // squaredEuclidean loops over the PAA's length: a longer PAA would read
+    // past a pivot, a shorter one rank on a partial distance.
+    require(paa.length == width, s"PAA width ${paa.length} differs from the pivots' width $width")
     // Insertion select of the m smallest (distance, id) pairs. Pivots are
     // visited in id order, so a pivot enters only when strictly closer than
     // the current m-th and moves only past strictly farther ones: equal

@@ -1,8 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ClimberIndex, ClimberParams, ClimberQuery}
-import repro.scan.Dss
+import repro.core.{ClimberIndex, ClimberQuery}
 
 /** The CLIMBER ablations rendered as tables:
   *   - Figure 11(b): the OD-Smallest search (all partitions of every
@@ -29,53 +28,41 @@ object Ablation {
       f"$recall%.2f (${recall / base.recall}%.2fx)")
   }
 
-  final case class Config(
-      sizeGb: Int = 200,
-      k: Int = 500,
-      nQueries: Int = 20,
-      prefixLens: Seq[Int] = Seq(4, 6, 10, 15, 20),
-      climber: ClimberParams = Workloads.benchParams,
-  )
+  /** The paper's 200 GB scale (DESIGN.md §2). */
+  val SizeGb: Int = 200
+  val PrefixLens: Seq[Int] = Seq(4, 6, 10, 15, 20)
 
   /** Figure 11(b): OD-Smallest vs CLIMBER-kNN / Adaptive-2X / Adaptive-4X. */
-  def runOdSmallest(spark: SparkSession, cfg: Config = Config()): Seq[OdRow] = {
-    val n = cfg.sizeGb.toLong * Workloads.SeriesPerGb
-    val df = Workloads.dataset(spark, "RandomWalk", n)
-    val qs = Workloads.queries("RandomWalk", n, cfg.nQueries)
-    val truth = Dss.knnBatch(spark, df, qs, cfg.k)
-    val index = ClimberIndex.build(spark, df, cfg.climber)
-    val sizes = Workloads.partSizes(index.data)
+  def runOdSmallest(spark: SparkSession): Seq[OdRow] =
+    Workloads.withDataset(spark, "RandomWalk", SizeGb, Workloads.K) { w =>
+      val index = ClimberIndex.build(spark, w.df, Workloads.benchParams)
+      val sizes = Workloads.partSizes(index.data)
 
-    val variants = Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(2), ClimberQuery.Adaptive(4),
-      ClimberQuery.OdSmallest)
-    val measured = variants.map(v =>
-      v.label -> Workloads.measure(qs, truth)(Workloads.climberRun(index, sizes, cfg.k, v)))
-    val od = measured.last._2
-    val rows = measured.map { case (name, m) =>
-      OdRow(name, m.rowsScanned, m.recall, od.rowsScanned / m.rowsScanned, od.recall / m.recall)
+      val variants = Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(2), ClimberQuery.Adaptive(4),
+        ClimberQuery.OdSmallest)
+      val measured = variants.map(v => v.label -> Workloads.measure(w.queries, w.truth)(
+        Workloads.climberRun(index, sizes, Workloads.K, v)))
+      val od = measured.last._2
+      val rows = measured.map { case (name, m) =>
+        OdRow(name, m.rowsScanned, m.recall, od.rowsScanned / m.rowsScanned, od.recall / m.recall)
+      }
+      index.data.unpersist()
+      rows
     }
-    index.data.unpersist(); df.unpersist()
-    rows
-  }
 
   /** Figure 12: prefix-length sweep. */
-  def runPrefix(spark: SparkSession, cfg: Config = Config()): Seq[PrefixRow] = {
-    val n = cfg.sizeGb.toLong * Workloads.SeriesPerGb
-    val df = Workloads.dataset(spark, "RandomWalk", n)
-    val qs = Workloads.queries("RandomWalk", n, cfg.nQueries)
-    val truth = Dss.knnBatch(spark, df, qs, cfg.k)
-    val rows = cfg.prefixLens.map { m =>
-      val params = cfg.climber.copy(prefixLen = m)
-      val (index, ict) = Workloads.timed(ClimberIndex.build(spark, df, params))
-      val q = Workloads.measure(qs, truth)(Workloads.climberRun(index,
-        Workloads.partSizes(index.data), cfg.k, ClimberQuery.Adaptive(4)))
-      val row = PrefixRow(m, ict, index.stats.skeletonBytes / 1024.0, q.qrtSec, q.recall)
-      index.data.unpersist()
-      row
+  def runPrefix(spark: SparkSession): Seq[PrefixRow] =
+    Workloads.withDataset(spark, "RandomWalk", SizeGb, Workloads.K) { w =>
+      PrefixLens.map { m =>
+        val params = Workloads.benchParams.copy(prefixLen = m)
+        val (index, ict) = Workloads.timed(ClimberIndex.build(spark, w.df, params))
+        val q = Workloads.measure(w.queries, w.truth)(Workloads.climberRun(index,
+          Workloads.partSizes(index.data), Workloads.K, ClimberQuery.Adaptive(4)))
+        val row = PrefixRow(m, ict, index.stats.skeletonBytes / 1024.0, q.qrtSec, q.recall)
+        index.data.unpersist()
+        row
+      }
     }
-    df.unpersist()
-    rows
-  }
 
   def renderOd(rows: Seq[OdRow]): String =
     Workloads.table(Seq("System", "RowsAccessed", "Recall", "OD/this(data)", "OD/this(recall)"),

@@ -1,9 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ClimberIndex, ClimberParams, ClimberQuery}
+import repro.core.{ClimberIndex, ClimberQuery}
 import repro.isax.{DpiSax, Tardis}
-import repro.scan.Dss
 
 /** Figure 9 — the K sweep on RandomWalk 400 GB: (a) recall and (b) the
   * query-time table, for Dss, TARDIS, DPiSAX and the three CLIMBER
@@ -23,47 +22,39 @@ object FigNine {
       Seq(k.toString, system, f"$qrtSec%.2f", f"$recall%.2f", f"$rowsScanned%.0f")
   }
 
-  final case class Config(
-      sizeGb: Int = 400,
-      ks: Seq[Int] = Seq(50, 100, 500, 1000, 2000),
-      nQueries: Int = 20,
-      nDssTimedQueries: Int = 3,
-      climber: ClimberParams = Workloads.benchParams,
-  )
+  /** The paper's 400 GB scale (DESIGN.md §2). */
+  val SizeGb: Int = 400
+  val Ks: Seq[Int] = Seq(50, 100, 500, 1000, 2000)
+  /** Dss is slow; time it on a subset of the queries. */
+  val DssTimedQueries: Int = 3
 
-  def run(spark: SparkSession, cfg: Config = Config()): Seq[Row] = {
-    val rows = scala.collection.mutable.ArrayBuffer[Row]()
-    val n = cfg.sizeGb.toLong * Workloads.SeriesPerGb
-    val maxK = cfg.ks.max
-    val df = Workloads.dataset(spark, "RandomWalk", n)
-    val qs = Workloads.queries("RandomWalk", n, cfg.nQueries)
-    val truthMax = Dss.knnBatch(spark, df, qs, maxK)
+  def run(spark: SparkSession): Seq[Row] =
+    Workloads.withDataset(spark, "RandomWalk", SizeGb, Ks.max) { w =>
+      val p = Workloads.benchParams
+      val dpisax = DpiSax.index(spark, w.df, p.capacity, alpha = p.alpha)
+      val tardis = Tardis.index(spark, w.df, p.capacity, alpha = p.alpha)
+      val climber = ClimberIndex.build(spark, w.df, p)
 
-    val dpisax = DpiSax.index(spark, df, cfg.climber.capacity, alpha = cfg.climber.alpha)
-    val tardis = Tardis.index(spark, df, cfg.climber.capacity, alpha = cfg.climber.alpha)
-    val climber = ClimberIndex.build(spark, df, cfg.climber)
+      val dpSizes = Workloads.partSizes(dpisax.data)
+      val tdSizes = Workloads.partSizes(tardis.data)
+      val clSizes = Workloads.partSizes(climber.data)
 
-    val dpSizes = Workloads.partSizes(dpisax.data)
-    val tdSizes = Workloads.partSizes(tardis.data)
-    val clSizes = Workloads.partSizes(climber.data)
+      val variants = Seq(
+        "Dss" -> (Workloads.dssRun(w.df, w.n, _: Int)),
+        "DPiSAX" -> (Workloads.baselineRun(dpisax, dpSizes, _: Int)),
+        "TARDIS" -> (Workloads.baselineRun(tardis, tdSizes, _: Int)),
+      ) ++ Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(2), ClimberQuery.Adaptive(4)).map(v =>
+        v.label -> (Workloads.climberRun(climber, clSizes, _: Int, v)))
 
-    val dss: Int => Workloads.Run = k => (_, q) => (Dss.knn(df, q, k).map(_._1), n)
-    val variants = Seq(
-      "Dss" -> dss,
-      "DPiSAX" -> (Workloads.baselineRun(dpisax, dpSizes, _: Int)),
-      "TARDIS" -> (Workloads.baselineRun(tardis, tdSizes, _: Int)),
-    ) ++ Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(2), ClimberQuery.Adaptive(4)).map(v =>
-      v.label -> (Workloads.climberRun(climber, clSizes, _: Int, v)))
-
-    for (k <- cfg.ks; (name, run) <- variants) {
-      val timedQs = if (name == "Dss") qs.take(cfg.nDssTimedQueries) else qs
-      val m = Workloads.measure(timedQs,
-        truthMax.map { case (qid, ids) => qid -> ids.take(k) })(run(k))
-      rows += Row(k, name, m.qrtSec, m.recall, m.rowsScanned)
+      val rows = for (k <- Ks; (name, run) <- variants) yield {
+        val timedQs = if (name == "Dss") w.queries.take(DssTimedQueries) else w.queries
+        val m = Workloads.measure(timedQs,
+          w.truth.map { case (qid, ids) => qid -> ids.take(k) })(run(k))
+        Row(k, name, m.qrtSec, m.recall, m.rowsScanned)
+      }
+      dpisax.data.unpersist(); tardis.data.unpersist(); climber.data.unpersist()
+      rows
     }
-    dpisax.data.unpersist(); tardis.data.unpersist(); climber.data.unpersist(); df.unpersist()
-    rows.toSeq
-  }
 
   def render(rows: Seq[Row]): String =
     Workloads.table(Seq("K", "System", "Q.R.T(s)", "Recall", "RowsScanned"), rows.map(_.cells))

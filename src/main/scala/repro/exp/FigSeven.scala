@@ -1,9 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ClimberIndex, ClimberParams, ClimberQuery}
+import repro.core.{ClimberIndex, ClimberQuery}
 import repro.isax.{DpiSax, Tardis}
-import repro.scan.Dss
+import repro.series.SeriesGen
 
 /** Figures 7(a,b) and 8(a,b) rendered as a table: for each dataset at the
   * 200 GB-equivalent scale, the query time, recall, and mean rows scanned
@@ -22,50 +22,37 @@ object FigSeven {
       if (indexKb.isNaN) "-" else f"$indexKb%.1f")
   }
 
-  final case class Config(
-      datasets: Seq[String] = repro.series.SeriesGen.Datasets,
-      sizeGb: Int = 200,
-      k: Int = 500,
-      nQueries: Int = 20,
-      nDssTimedQueries: Int = 5, // Dss is slow; time it on a subset
-      climber: ClimberParams = Workloads.benchParams,
-  )
+  /** The paper's 200 GB scale (DESIGN.md §2). */
+  val SizeGb: Int = 200
+  /** Dss is slow; time it on a subset of the queries. */
+  val DssTimedQueries: Int = 5
 
-  def run(spark: SparkSession, cfg: Config = Config()): Seq[Row] = {
-    val rows = scala.collection.mutable.ArrayBuffer[Row]()
-    val n = cfg.sizeGb.toLong * Workloads.SeriesPerGb
-    for (ds <- cfg.datasets) {
-      val df = Workloads.dataset(spark, ds, n)
-      val qs = Workloads.queries(ds, n, cfg.nQueries)
-      val truth = Dss.knnBatch(spark, df, qs, cfg.k)
-
-      // Dss: exact by construction; time a subset of single-query scans.
-      val dss = Workloads.measure(qs.take(cfg.nDssTimedQueries), truth)((_, q) =>
-        (Dss.knn(df, q, cfg.k).map(_._1), n))
-      rows += Row(ds, "Dss", dss.qrtSec, dss.recall, dss.rowsScanned, Double.NaN, Double.NaN)
+  def run(spark: SparkSession): Seq[Row] =
+    SeriesGen.Datasets.flatMap(ds => Workloads.withDataset(spark, ds, SizeGb, Workloads.K) { w =>
+      val k = Workloads.K
+      val p = Workloads.benchParams
+      val dss = Workloads.measure(w.queries.take(DssTimedQueries), w.truth)(
+        Workloads.dssRun(w.df, w.n, k))
+      val dssRow = Row(ds, "Dss", dss.qrtSec, dss.recall, dss.rowsScanned, Double.NaN, Double.NaN)
 
       // DPiSAX and TARDIS: one-partition approximate search.
-      for ((name, bi) <- Seq(
-          "DPiSAX" -> DpiSax.index(spark, df, cfg.climber.capacity, alpha = cfg.climber.alpha),
-          "TARDIS" -> Tardis.index(spark, df, cfg.climber.capacity, alpha = cfg.climber.alpha))) {
-        val m = Workloads.measure(qs, truth)(
-          Workloads.baselineRun(bi, Workloads.partSizes(bi.data), cfg.k))
-        rows += Row(ds, name, m.qrtSec, m.recall, m.rowsScanned, bi.buildSec,
-          bi.indexBytes / 1024.0)
+      val baselineRows = Seq(
+          "DPiSAX" -> DpiSax.index(spark, w.df, p.capacity, alpha = p.alpha),
+          "TARDIS" -> Tardis.index(spark, w.df, p.capacity, alpha = p.alpha)).map { case (name, bi) =>
+        val m = Workloads.measure(w.queries, w.truth)(
+          Workloads.baselineRun(bi, Workloads.partSizes(bi.data), k))
         bi.data.unpersist()
+        Row(ds, name, m.qrtSec, m.recall, m.rowsScanned, bi.buildSec, bi.indexBytes / 1024.0)
       }
 
       // CLIMBER default variation (Adaptive-4X).
-      val (index, ict) = Workloads.timed(ClimberIndex.build(spark, df, cfg.climber))
-      val m = Workloads.measure(qs, truth)(Workloads.climberRun(index,
-        Workloads.partSizes(index.data), cfg.k, ClimberQuery.Adaptive(4)))
-      rows += Row(ds, "CLIMBER", m.qrtSec, m.recall, m.rowsScanned, ict,
-        index.stats.skeletonBytes / 1024.0)
+      val (index, ict) = Workloads.timed(ClimberIndex.build(spark, w.df, p))
+      val m = Workloads.measure(w.queries, w.truth)(Workloads.climberRun(index,
+        Workloads.partSizes(index.data), k, ClimberQuery.Adaptive(4)))
       index.data.unpersist()
-      df.unpersist()
-    }
-    rows.toSeq
-  }
+      dssRow +: baselineRows :+
+        Row(ds, "CLIMBER", m.qrtSec, m.recall, m.rowsScanned, ict, index.stats.skeletonBytes / 1024.0)
+    })
 
   def render(rows: Seq[Row]): String =
     Workloads.table(

@@ -1,9 +1,8 @@
 package repro.exp
 
 import org.apache.spark.sql.SparkSession
-import repro.core.{ClimberIndex, ClimberParams, ClimberQuery}
+import repro.core.{ClimberIndex, ClimberQuery}
 import repro.memory.{OdysseySim, ParlayAnnSim}
-import repro.scan.Dss
 
 /** Table I — CLIMBER vs the in-memory systems Odyssey and ParlayANN-HNSW:
   * Index Construction Time (I.C.T), Query Response Time (Q.R.T), and
@@ -20,28 +19,24 @@ object TableOne {
       else Seq(sizeGb.toString, system, f"$ictSec%.1f", f"$qrtSec%.2f", f"$recall%.2f")
   }
 
-  final case class Config(
-      sizesGb: Seq[Int] = Seq(200, 400, 600, 800, 1000, 1500),
-      k: Int = 500,
-      nQueries: Int = 20,
-      odysseyBudgetGb: Int = 800, // paper: X from 1000 GB on
-      parlayBudgetGb: Int = 400, // paper: X from 600 GB on
-      climber: ClimberParams = Workloads.benchParams,
-  )
+  /** Paper sizes 200 GB–1.5 TB (50k–375k series, DESIGN.md §2). */
+  val SizesGb: Seq[Int] = Seq(200, 400, 600, 800, 1000, 1500)
+  /** The in-memory systems' budgets: the paper shows Odyssey as X from
+    * 1000 GB on and ParlayANN from 600 GB on.
+    */
+  val OdysseyBudgetGb: Int = 800
+  val ParlayBudgetGb: Int = 400
 
-  def run(spark: SparkSession, cfg: Config = Config()): Seq[Row] = {
-    val rows = scala.collection.mutable.ArrayBuffer[Row]()
-    for (gb <- cfg.sizesGb) {
-      val n = gb.toLong * Workloads.SeriesPerGb
-      val df = Workloads.dataset(spark, "RandomWalk", n)
-      val qs = Workloads.queries("RandomWalk", n, cfg.nQueries)
-      val score = Workloads.measure(qs, Dss.knnBatch(spark, df, qs, cfg.k)) _
+  def run(spark: SparkSession, sizesGb: Seq[Int] = SizesGb): Seq[Row] =
+    sizesGb.flatMap(gb => Workloads.withDataset(spark, "RandomWalk", gb, Workloads.K) { w =>
+      val k = Workloads.K
+      val p = Workloads.benchParams
+      val score = Workloads.measure(w.queries, w.truth) _
 
       // CLIMBER (default variation Adaptive-4X, §VII-A).
-      val (index, ict) = Workloads.timed(ClimberIndex.build(spark, df, cfg.climber))
-      val cl = score(Workloads.climberRun(index, Workloads.partSizes(index.data), cfg.k,
+      val (index, ict) = Workloads.timed(ClimberIndex.build(spark, w.df, p))
+      val cl = score(Workloads.climberRun(index, Workloads.partSizes(index.data), k,
         ClimberQuery.Adaptive(4)))
-      rows += Row(gb, "CLIMBER", ict, cl.qrtSec, cl.recall, "ok")
       index.data.unpersist()
 
       // An in-memory system: "X" when its build refuses the dataset for its
@@ -55,22 +50,19 @@ object TableOne {
             Row(gb, system, ictS, m.qrtSec, m.recall, "ok")
         }
 
-      // Odyssey: exact, in-memory, fails beyond the cluster RAM budget.
-      rows += inMemory("Odyssey") {
-        OdysseySim.build(df, n, cfg.odysseyBudgetGb.toLong * Workloads.SeriesPerGb,
-          cfg.climber.paaW)
-          .map[Workloads.Run](ody => (_, q) => (ody.knn(q, cfg.k).map(_._1), 0L))
-      }
-
-      // ParlayANN-HNSW: approximate, single-node, costly construction.
-      rows += inMemory("ParlayANN") {
-        ParlayAnnSim.build(df, n, cfg.parlayBudgetGb.toLong * Workloads.SeriesPerGb)
-          .map[Workloads.Run](pa => (_, q) => (pa.knn(q, cfg.k).map(_._1), 0L))
-      }
-      df.unpersist()
-    }
-    rows.toSeq
-  }
+      Seq(
+        Row(gb, "CLIMBER", ict, cl.qrtSec, cl.recall, "ok"),
+        // Odyssey: exact, in-memory, fails beyond the cluster RAM budget.
+        inMemory("Odyssey") {
+          OdysseySim.build(w.df, w.n, OdysseyBudgetGb.toLong * Workloads.SeriesPerGb, p.paaW)
+            .map[Workloads.Run](ody => (_, q) => (ody.knn(q, k).map(_._1), 0L))
+        },
+        // ParlayANN-HNSW: approximate, single-node, costly construction.
+        inMemory("ParlayANN") {
+          ParlayAnnSim.build(w.df, w.n, ParlayBudgetGb.toLong * Workloads.SeriesPerGb)
+            .map[Workloads.Run](pa => (_, q) => (pa.knn(q, k).map(_._1), 0L))
+        })
+    })
 
   def render(rows: Seq[Row]): String =
     Workloads.table(Seq("Size(GB)", "System", "I.C.T(s)", "Q.R.T(s)", "R.R"), rows.map(_.cells))

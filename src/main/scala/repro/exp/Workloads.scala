@@ -3,11 +3,13 @@ package repro.exp
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.{ClimberIndex, ClimberQuery}
 import repro.isax.{BaselineCommon, BaselineIndex}
+import repro.scan.Dss
 import repro.series.SeriesGen
 
-/** Shared workload plumbing for the benches/jobs: dataset materialisation,
-  * query sampling (queries are drawn from the dataset itself, §VII-A),
-  * recall (Def. 4), and the one measurement loop of every runner.
+/** Shared workload plumbing for the benches/jobs: the one dataset harness
+  * (dataset materialisation, query sampling — queries are drawn from the
+  * dataset itself, §VII-A — and Dss ground truth), recall (Def. 4), and the
+  * one measurement loop of every runner.
   */
 object Workloads {
 
@@ -25,6 +27,33 @@ object Workloads {
     repro.core.ClimberParams(numPivots = 200, prefixLen = 10, capacity = 2000)
 
   val DataSeed = 42L
+
+  /** Queries per experiment (paper: 50; fewer keep the benches' wall clock
+    * down, EXPERIMENTS.md) and the paper's default K (§VII-A).
+    */
+  val NumQueries: Int = 20
+  val K: Int = 500
+
+  /** One materialised dataset: its `n` cached series, the [[NumQueries]]
+    * queries drawn from it, and their exact top-k ids (closest first).
+    */
+  final case class Workload(n: Long, df: DataFrame, queries: Seq[(Long, Array[Double])],
+                            truth: Map[Long, Seq[Long]])
+
+  /** The dataset harness of every runner: materialise `sizeGb` paper-GB of
+    * the named dataset, draw its queries, compute their exact top-`k` with
+    * Dss (before `body` builds any index), run `body`, and unpersist the
+    * series afterwards, also when `body` throws.
+    */
+  def withDataset[T](spark: SparkSession, name: String, sizeGb: Int, k: Int)
+                    (body: Workload => T): T = {
+    val n = sizeGb.toLong * SeriesPerGb
+    val df = dataset(spark, name, n)
+    try {
+      val qs = queries(name, n, NumQueries)
+      body(Workload(n, df, qs, Dss.knnBatch(spark, df, qs, k)))
+    } finally df.unpersist()
+  }
 
   /** Cached DataFrame of `n` series of the named dataset. */
   def dataset(spark: SparkSession, name: String, n: Long): DataFrame = {
@@ -70,6 +99,9 @@ object Workloads {
     (ClimberQuery.scanTopK(index.data, "part", plan.partitions, q, k).map(_._1),
       plan.partitions.map(sizes.getOrElse(_, 0L)).sum)
   }
+
+  /** Dss: exact by construction; every query scans all `n` rows of `df`. */
+  def dssRun(df: DataFrame, n: Long, k: Int): Run = (_, q) => (Dss.knn(df, q, k).map(_._1), n)
 
   /** A one-partition iSAX baseline (DPiSAX, TARDIS). */
   def baselineRun(bi: BaselineIndex, sizes: Map[Int, Long], k: Int): Run = { (_, q) =>

@@ -71,29 +71,4 @@ object Isax {
     require(toBits <= fromBits, "can only promote to a coarser cardinality")
     sym >>> (fromBits - toBits)
   }
-
-  /** iSAX MINDIST lower bound between a query PAA and an iSAX word whose
-    * segments use (symbol, bits) pairs: for each segment, the distance from
-    * the query's mean to the nearest edge of the symbol's stripe (0 when
-    * inside). `n` is the raw series length. MINDIST(q, w) ≤ ED(q, x) for
-    * every series x in the word's region.
-    */
-  def minDist(paaQ: Array[Double], syms: Array[Int], bits: Array[Int], n: Int): Double = {
-    val w = paaQ.length
-    var s = 0.0
-    var i = 0
-    while (i < w) {
-      if (bits(i) > 0) {
-        val bps = breakpoints(1 << bits(i))
-        val sym = syms(i)
-        val lo = if (sym == 0) Double.NegativeInfinity else bps(sym - 1)
-        val hi = if (sym == bps.length) Double.PositiveInfinity else bps(sym)
-        val q = paaQ(i)
-        val d = if (q < lo) lo - q else if (q > hi) q - hi else 0.0
-        s += d * d
-      }
-      i += 1
-    }
-    math.sqrt(n.toDouble / w * s)
-  }
 }

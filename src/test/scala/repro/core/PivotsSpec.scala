@@ -117,6 +117,26 @@ class PivotsSpec extends SparkSpec {
     intercept[IllegalArgumentException](PivotSet(vecs, 5))
   }
 
+  test("PivotSet rejects pivots of different widths") {
+    intercept[IllegalArgumentException](PivotSet(vecs :+ Array(1.0, 2.0, 3.0), 2))
+    intercept[IllegalArgumentException](PivotSet(Array(Array(1.0), Array.empty[Double]), 1))
+  }
+
+  test("rankSensitive rejects a PAA of another width than the pivots'") {
+    val ps = PivotSet(vecs, 2)
+    for (paa <- Seq(Array(0.5), Array(0.5, 0.5, 0.5))) {
+      val e = intercept[IllegalArgumentException](ps.rankSensitive(paa))
+      assert(e.getMessage.contains(s"PAA width ${paa.length} differs from the pivots' width 2"))
+    }
+  }
+
+  test("select rejects a sample whose PAA rows differ in width") {
+    val schema = StructType(Seq(StructField("paa", ArrayType(DoubleType))))
+    val rows = Seq(Row(Array(1.0, 2.0)), Row(Array(3.0)), Row(Array(4.0, 5.0)))
+    val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+    intercept[IllegalArgumentException](Pivots.select(df, "paa", rows.size, 1, seed = 1))
+  }
+
   test("select picks r distinct pivots deterministically in the seed") {
     val df = SeriesGen.generate(spark, "RandomWalk", 200, seed = 3)
       .withColumn("paa", Paa.paaUdf(16)(col("series")))

@@ -1,6 +1,9 @@
 package repro.exp
 
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
+import repro.scan.Dss
 import repro.series.SeriesGen
 
 class WorkloadsSpec extends SparkSpec {
@@ -83,5 +86,46 @@ class WorkloadsSpec extends SparkSpec {
     assert(df.count() == 100)
     assert(df.storageLevel.useMemory)
     df.unpersist()
+  }
+
+  // The dataset harness at 1 GB-equivalent: 250 series.
+
+  test("withDataset hands the body the series, their queries and the Dss ground truth") {
+    Workloads.withDataset(spark, "RandomWalk", 1, k = 7) { w =>
+      assert(w.n == 250 && w.df.count() == 250)
+      val expected = Workloads.queries("RandomWalk", 250, Workloads.NumQueries)
+      assert(w.queries.map { case (id, q) => (id, q.toSeq) } ==
+        expected.map { case (id, q) => (id, q.toSeq) })
+      assert(w.truth == Dss.knnBatch(spark, w.df, expected, 7))
+      assert(w.truth.values.forall(_.size == 7))
+    }
+  }
+
+  test("withDataset unpersists the series after the body, also when it throws") {
+    var seen: DataFrame = null
+    Workloads.withDataset(spark, "RandomWalk", 1, k = 7) { w =>
+      seen = w.df
+      assert(w.df.storageLevel.useMemory)
+    }
+    assert(seen.storageLevel == StorageLevel.NONE)
+
+    seen = null
+    val e = intercept[IllegalStateException](
+      Workloads.withDataset(spark, "RandomWalk", 1, k = 7) { w =>
+        seen = w.df
+        assert(w.df.storageLevel.useMemory)
+        throw new IllegalStateException("body failed")
+      })
+    assert(e.getMessage == "body failed")
+    assert(seen.storageLevel == StorageLevel.NONE)
+  }
+
+  test("the Dss run scores recall 1.0 and scans all n rows through measure") {
+    Workloads.withDataset(spark, "RandomWalk", 1, k = 7) { w =>
+      val m = Workloads.measure(w.queries, w.truth)(Workloads.dssRun(w.df, w.n, 7))
+      assert(m.recall == 1.0)
+      assert(m.rowsScanned == 250.0)
+      assert(m.qrtSec > 0)
+    }
   }
 }

@@ -2,7 +2,6 @@ package repro.isax
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
-import repro.core.{Distances, Paa}
 
 class IsaxSpec extends SparkSpec {
 
@@ -96,37 +95,5 @@ class IsaxSpec extends SparkSpec {
 
   test("promote rejects refinement") {
     intercept[IllegalArgumentException](Isax.promote(3, 2, 4))
-  }
-
-  // ---------------- MINDIST lower bound ----------------
-
-  test("MINDIST is zero when the query is inside the word's region") {
-    val paa = Array(0.5, -0.5)
-    val syms = Isax.word(paa, 4)
-    assert(Isax.minDist(paa, syms, Array(4, 4), 8) == 0.0)
-  }
-
-  test("MINDIST lower-bounds the true ED (the iSAX pruning invariant)") {
-    val rng = new java.util.Random(5)
-    for (_ <- 1 to 200) {
-      val x = repro.series.SeriesGen.znorm(Array.fill(32)(rng.nextGaussian()))
-      val q = repro.series.SeriesGen.znorm(Array.fill(32)(rng.nextGaussian()))
-      val w = 8
-      val syms = Isax.word(Paa.of(x, w), 6)
-      val md = Isax.minDist(Paa.of(q, w), syms, Array.fill(w)(6), 32)
-      assert(md <= Distances.euclidean(q, x) + 1e-9,
-        s"MINDIST $md > ED ${Distances.euclidean(q, x)}")
-    }
-  }
-
-  test("MINDIST with zero bits is zero (no information)") {
-    assert(Isax.minDist(Array(1.0, 2.0), Array(0, 0), Array(0, 0), 8) == 0.0)
-  }
-
-  test("MINDIST grows as the query moves away from the region") {
-    val syms = Array(Isax.symbol(0.0, 3))
-    val d1 = Isax.minDist(Array(1.0), syms, Array(3), 4)
-    val d2 = Isax.minDist(Array(2.0), syms, Array(3), 4)
-    assert(d2 >= d1)
   }
 }
