@@ -3,9 +3,11 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import repro.scan.Dss
 
-/** CLIMBER query processing (§VI): Algorithm 3 (CLIMBER-kNN), the adaptive
-  * variations (2X/4X partition caps), the OD-Smallest ablation, and the
-  * localized ED re-ranking within the identified partitions.
+/** CLIMBER query processing (§VI): one ranked list of candidate trie nodes
+  * (`ranked`) cut three ways — Algorithm 3 (CLIMBER-kNN) takes its head, the
+  * adaptive variations (2X/4X partition caps) walk down it, the OD-Smallest
+  * ablation takes its smallest-OD groups — and the localized ED re-ranking
+  * within the identified partitions.
   */
 object ClimberQuery {
 
@@ -19,83 +21,91 @@ object ClimberQuery {
   final case class QueryPlan(groupIds: Seq[Int], nodeDepth: Int, nodeSize: Long,
                              partitions: Array[Int])
 
-  /** Lines 5-9 of Algorithm 3: Algorithm 1's group ranking of the query. */
-  private def ranked(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int]): Seq[Group] =
-    GroupAssign.rank(rs, ri, skeleton.centroids, skeleton.decay).map(skeleton.groups(_))
-
-  /** Algorithm 3: pick the single best (group, trie node) and return its
-    * physical partitions.
+  /** One entry of `ranked`: a group, its OD and WD to the query, and one of
+    * its two best-matching trie nodes.
     */
-  def plan(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int],
-           querySeed: Long = 0): QueryPlan =
-    planRanked(ranked(skeleton, rs, ri), rs, querySeed)
+  private[core] final case class Candidate(group: Group, od: Int, wd: Double, node: TrieNode)
 
-  private def planRanked(cands: Seq[Group], rs: Array[Int], querySeed: Long): QueryPlan = {
-    val navigated = cands.map(g => (g, g.root.navigate(rs)))
-    // Lines 14-17: longest path, then largest node.
-    val maxDepth = navigated.map(_._2.depth).max
-    val deepest = navigated.filter(_._2.depth == maxDepth)
-    val maxSize = deepest.map(_._2.size).max
-    val biggest = deepest.filter(_._2.size == maxSize)
-    // Lines 18-19: random (deterministic in the query seed) final tie-break.
-    val (g, node) = if (biggest.size == 1) biggest.head else SplitMix.pick(querySeed, biggest)
-    QueryPlan(Seq(g.id), node.depth, node.size, node.partitions)
+  /** Algorithm 3 over every group, the one list behind all variants: for
+    * each group of `GroupAssign.order`, its deepest navigated trie node and
+    * that node's parent (the "longest and 2nd-longest best matches"), by
+    * (OD, WD, longest path, largest node, group id) — lines 5-17.
+    */
+  private[core] def ranked(skeleton: IndexSkeleton, rs: Array[Int],
+                           ri: Array[Int]): IndexedSeq[Candidate] =
+    GroupAssign.order(rs, ri, skeleton.centroids, skeleton.decay).flatMap { r =>
+      val g = skeleton.groups(r.group)
+      val deepest = g.root.navigate(rs)
+      val nodes =
+        if (deepest.depth == 0) Seq(deepest)
+        else Seq(deepest, g.root.navigate(rs.take(deepest.depth - 1)))
+      nodes.map(Candidate(g, r.od, r.wd, _))
+    }.sortBy(c => (c.od, c.wd, -c.node.depth, -c.node.size, c.group.id))
+
+  /** Algorithm 3 (CLIMBER-kNN), CLIMBER-kNN-Adaptive and OD-Smallest, each a
+    * cut of `ranked`.
+    */
+  def plan(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int], k: Int, variant: Variant,
+           querySeed: Long = 0): QueryPlan = {
+    val cands = ranked(skeleton, rs, ri)
+    variant match {
+      case Knn              => nodePlan(head(cands, querySeed))
+      case Adaptive(factor) => adaptive(cands, head(cands, querySeed), k, factor)
+      case OdSmallest =>
+        // §VII-C, Fig. 11(b): every partition of every group at the smallest
+        // OD (stop at line 6 of Algorithm 3).
+        val tied = cands.takeWhile(_.od == cands.head.od).map(_.group.id).distinct.sorted
+          .map(skeleton.groups(_))
+        QueryPlan(tied.map(_.id), 0, tied.map(_.root.size).sum,
+          tied.flatMap(_.root.partitions).distinct.sorted.toArray)
+    }
   }
+
+  /** Lines 18-19: the head candidate, or, when others tie with it on (OD, WD,
+    * depth, size), a random pick among them deterministic in the query seed.
+    * The tied candidates are all deepest nodes, in ascending group id.
+    */
+  private def head(cands: IndexedSeq[Candidate], querySeed: Long): Candidate = {
+    val h = cands.head
+    val tied = cands.takeWhile(c => c.od == h.od && c.wd == h.wd &&
+      c.node.depth == h.node.depth && c.node.size == h.node.size)
+    if (tied.size == 1) h else SplitMix.pick(querySeed, tied)
+  }
+
+  private def nodePlan(c: Candidate): QueryPlan =
+    QueryPlan(Seq(c.group.id), c.node.depth, c.node.size, c.node.partitions)
 
   /** CLIMBER-kNN-Adaptive (§VI): when the best node holds fewer than `k`
-    * candidates, expand over further best-matching trie nodes (the deepest
-    * node of every tied group plus its parent — the "longest and 2nd-longest
-    * best matches") until the estimated candidate count covers `k`, capped
-    * at `factor ×` the base plan's partition count.
+    * candidates, walk down `cands`, over the best groups' nodes and then the
+    * next groups', adding each node's partitions until the estimated
+    * candidate count covers `k`, capped at `factor ×` the base plan's
+    * partition count.
     */
-  def planAdaptive(skeleton: IndexSkeleton, rs: Array[Int], ri: Array[Int],
-                   k: Int, factor: Int, querySeed: Long = 0): QueryPlan = {
-    val cands = ranked(skeleton, rs, ri)
-    val base = planRanked(cands, rs, querySeed)
-    if (base.nodeSize >= k) return base
-    val maxParts = math.max(1, factor * base.partitions.length)
-    val nodes = cands.flatMap { g =>
-      val deepest = g.root.navigate(rs)
-      val second =
-        if (deepest.depth >= 1) Some(g.root.navigate(rs.take(deepest.depth - 1))) else None
-      (Seq((g, deepest)) ++ second.map(n => (g, n))).distinct
-    }.distinct.sortBy { case (g, n) => (-n.depth, -n.size, g.id) }
-    val partsSet = scala.collection.mutable.LinkedHashSet[Int](base.partitions.toSeq: _*)
-    val groups = scala.collection.mutable.LinkedHashSet[Int](base.groupIds: _*)
-    var covered = base.nodeSize
-    val it = nodes.iterator
+  private def adaptive(cands: IndexedSeq[Candidate], base: Candidate, k: Int,
+                       factor: Int): QueryPlan = {
+    if (base.node.size >= k) return nodePlan(base)
+    val maxParts = math.max(1, factor * base.node.partitions.length)
+    val partsSet = scala.collection.mutable.LinkedHashSet[Int](base.node.partitions.toSeq: _*)
+    val groups = scala.collection.mutable.LinkedHashSet[Int](base.group.id)
+    var covered = base.node.size
+    val it = cands.iterator
     while (covered < k && it.hasNext && partsSet.size < maxParts) {
-      val (g, n) = it.next()
-      val fresh = n.partitions.filterNot(partsSet.contains)
+      val c = it.next()
+      val fresh = c.node.partitions.filterNot(partsSet.contains)
       if (fresh.nonEmpty && partsSet.size + fresh.length <= maxParts) {
         partsSet ++= fresh
-        groups += g.id
-        covered += n.size
+        groups += c.group.id
+        covered += c.node.size
       }
     }
-    QueryPlan(groups.toSeq, base.nodeDepth, base.nodeSize, partsSet.toArray)
-  }
-
-  /** OD-Smallest ablation (§VII-C, Fig. 11(b)): scan every partition of
-    * every group whose OD to the query is the smallest (stop at line 6 of
-    * Algorithm 3).
-    */
-  def planOdSmallest(skeleton: IndexSkeleton, ri: Array[Int]): QueryPlan = {
-    val tied = GroupAssign.odSmallest(ri, skeleton.centroids).map(skeleton.groups(_))
-    val parts = tied.flatMap(_.root.partitions).distinct.sorted.toArray
-    QueryPlan(tied.map(_.id), 0, tied.map(_.root.size).sum, parts)
+    QueryPlan(groups.toSeq, base.node.depth, base.node.size, partsSet.toArray)
   }
 
   /** Plan for a raw query series under the requested variant. */
   def planFor(index: ClimberIndex, query: Array[Double], k: Int, variant: Variant,
               querySeed: Long = 0): QueryPlan = {
-    val paa = Paa.of(query, index.params.paaW)
-    val (rs, ri) = index.pivots.dual(paa)
-    variant match {
-      case Knn              => plan(index.skeleton, rs, ri, querySeed)
-      case Adaptive(factor) => planAdaptive(index.skeleton, rs, ri, k, factor, querySeed)
-      case OdSmallest       => planOdSmallest(index.skeleton, ri)
-    }
+    val (rs, ri) = index.pivots.dual(Paa.of(query, index.params.paaW))
+    plan(index.skeleton, rs, ri, k, variant, querySeed)
   }
 
   /** Localized record-level similarity (§VI): load the identified

@@ -1,9 +1,9 @@
 package repro.core
 
 /** Distance functions of the paper: Euclidean (Def. 3), Overlap Distance
-  * (Def. 7), pivot decay weights (Def. 9), Total Weight (Def. 10), Weight
-  * Distance (Def. 11), and the standard PAA lower bound used by the
-  * Odyssey-like exact searcher.
+  * (Def. 7), pivot decay weights (Def. 9), the covered weight behind Total
+  * Weight (Def. 10) and Weight Distance (Def. 11), and the standard PAA
+  * lower bound used by the Odyssey-like exact searcher.
   */
 object Distances {
 
@@ -50,33 +50,18 @@ object Distances {
     def weight(i: Int, m: Int): Double = math.pow(lambda, (i - 1).toDouble)
   }
 
-  /** Linear decay `f(i, λ) = λ·(m−i+1)` with `λ = 1/m`. */
-  final case object LinearDecay extends Decay {
-    def weight(i: Int, m: Int): Double = (m - i + 1).toDouble / m
-  }
-
   /** Per-position weights of a rank-sensitive signature, Def. 9: position 1
     * (the closest pivot) gets the largest weight.
     */
   def pivotWeights(m: Int, decay: Decay): Array[Double] =
     Array.tabulate(m)(i => decay.weight(i + 1, m))
 
-  /** Total Weight (Def. 10) — constant for fixed (m, decay). */
-  def totalWeight(m: Int, decay: Decay): Double = pivotWeights(m, decay).sum
-
-  /** Weight Distance (Def. 11) between a rank-sensitive signature `rs` and a
-    * rank-insensitive centroid signature `centroid` (sorted pivot-id set):
-    * TW minus the decayed weights of the pivots of `rs` present in the
-    * centroid. Smaller means the centroid covers X's most important pivots.
-    */
-  def weightDistance(rs: Array[Int], centroid: Array[Int], decay: Decay): Double = {
-    val w = pivotWeights(rs.length, decay)
-    w.sum - coveredWeight(rs, centroid, w)
-  }
-
   /** The decayed weights `w` (Def. 9, one per position of `rs`) of the
-    * pivots of `rs` present in the centroid: Weight Distance is TW minus
-    * this. Callers that rank many centroids compute `w` once.
+    * pivots of `rs` present in the rank-insensitive centroid signature
+    * `centroid` (sorted pivot ids). Weight Distance (Def. 11) is the Total
+    * Weight (Def. 10, `w.sum`) minus this: smaller means the centroid covers
+    * X's most important pivots. Callers that rank many centroids compute `w`
+    * once.
     */
   def coveredWeight(rs: Array[Int], centroid: Array[Int], w: Array[Double]): Double = {
     var covered = 0.0

@@ -21,74 +21,67 @@ import repro.core.Distances.Decay
   */
 object GroupAssign {
 
+  /** One group of `order`'s ranking with its Overlap and Weight Distance. */
+  final case class Ranked(group: Int, od: Int, wd: Double)
+
   /** Deterministic stand-in for Algorithm 1's random tie-break. */
   def tieBreak(recordId: Long, candidates: Seq[Int]): Int = SplitMix.pick(recordId, candidates)
 
-  /** Lines 1-7: the ascending ids of the centroids at the smallest Overlap
-    * Distance to `ri`, or `Seq(0)` (G₀) when `ri` overlaps no centroid.
+  /** The one OD → WD ranking of the groups (Algorithm 3, lines 5-9, over
+    * every group): each group that shares a pivot with `ri`, by ascending
+    * (OD, WD, id), then G₀ with OD m and WD = TW. Its first (OD, WD) tier is
+    * `assign`'s candidates, its first OD tier OD-Smallest's groups.
     */
-  def odSmallest(ri: Array[Int], centroids: IndexedSeq[Array[Int]]): Seq[Int] =
-    ArraySeq.unsafeWrapArray(odTies(ri, centroids))
+  def order(rs: Array[Int], ri: Array[Int], centroids: IndexedSeq[Array[Int]],
+            decay: Decay): IndexedSeq[Ranked] = {
+    val od = overlaps(ri, centroids)
+    val w = Distances.pivotWeights(rs.length, decay)
+    val tw = w.sum
+    val shared = od.indices.filter(od(_) < ri.length).map(i =>
+      Ranked(i + 1, od(i), tw - Distances.coveredWeight(rs, centroids(i), w)))
+    shared.sortBy(r => (r.od, r.wd, r.group)) :+ Ranked(0, ri.length, tw)
+  }
 
-  /** Lines 1-12 (Algorithm 3, lines 5-9): the smallest-OD groups, narrowed
-    * on ties to those at the smallest Weight Distance. Ascending ids.
-    */
-  def rank(rs: Array[Int], ri: Array[Int], centroids: IndexedSeq[Array[Int]],
-           decay: Decay): Seq[Int] =
-    ArraySeq.unsafeWrapArray(ranked(rs, ri, centroids, decay))
-
-  /** Assign one object. `centroids` maps 1-based group id → sorted
-    * rank-insensitive signature. Returns the chosen group id (0 = G₀).
+  /** Assign one object to a group of `order`'s head tier (0 = G₀), on
+    * primitive arrays and with WD only for the OD-tied centroids.
+    * `centroids` maps 1-based group id → sorted rank-insensitive signature.
     */
   def assign(recordId: Long, rs: Array[Int], ri: Array[Int],
              centroids: IndexedSeq[Array[Int]], decay: Decay): Int = {
-    val best = ranked(rs, ri, centroids, decay)
-    // Lines 13-14: second tie — (deterministic) random pick.
-    if (best.length == 1) best(0) else tieBreak(recordId, ArraySeq.unsafeWrapArray(best))
-  }
-
-  /** `rank` on primitive arrays, the one implementation behind all three
-    * public functions.
-    */
-  private def ranked(rs: Array[Int], ri: Array[Int], centroids: IndexedSeq[Array[Int]],
-                     decay: Decay): Array[Int] = {
-    val best = odTies(ri, centroids)
-    if (best.length == 1) best else wdTies(best, rs, centroids, decay)
-  }
-
-  /** Lines 1-7, computing each centroid's OD once. */
-  private def odTies(ri: Array[Int], centroids: IndexedSeq[Array[Int]]): Array[Int] = {
-    val n = centroids.length
-    val od = new Array[Int](n)
-    var minOd = ri.length // an OD is at most m, and m for every centroid means G₀
+    // Lines 1-7: the smallest OD; m for every centroid means G₀.
+    val od = overlaps(ri, centroids)
+    var minOd = ri.length
     var ties = 0
     var i = 0
-    while (i < n) {
-      od(i) = Distances.overlap(centroids(i), ri)
+    while (i < od.length) {
       if (od(i) < minOd) { minOd = od(i); ties = 1 }
       else if (od(i) == minOd) ties += 1
       i += 1
     }
-    if (minOd == ri.length) return Array(0)
-    val ids = new Array[Int](ties)
+    if (minOd == ri.length) return 0
+    val best = new Array[Int](ties)
     var t = 0
     i = 0
     while (t < ties) {
-      if (od(i) == minOd) { ids(t) = i + 1; t += 1 }
+      if (od(i) == minOd) { best(t) = i + 1; t += 1 }
       i += 1
     }
-    ids
-  }
-
-  /** Lines 8-12: the OD-tied ids `best` at the smallest Weight Distance,
-    * with `rs`'s decay weights computed once for all of them.
-    */
-  private def wdTies(best: Array[Int], rs: Array[Int], centroids: IndexedSeq[Array[Int]],
-                     decay: Decay): Array[Int] = {
+    if (ties == 1) return best(0)
+    // Lines 8-12: the smallest WD among the OD ties, `rs`'s weights computed once.
     val w = Distances.pivotWeights(rs.length, decay)
     val tw = w.sum
     val wd = best.map(g => tw - Distances.coveredWeight(rs, centroids(g - 1), w))
     val minWd = wd.min
-    best.indices.iterator.filter(wd(_) == minWd).map(best(_)).toArray
+    val tied = best.indices.iterator.filter(wd(_) == minWd).map(best(_)).toArray
+    // Lines 13-14: second tie — (deterministic) random pick.
+    if (tied.length == 1) tied(0) else tieBreak(recordId, ArraySeq.unsafeWrapArray(tied))
+  }
+
+  /** Each centroid's Overlap Distance to `ri`. */
+  private def overlaps(ri: Array[Int], centroids: IndexedSeq[Array[Int]]): Array[Int] = {
+    val od = new Array[Int](centroids.length)
+    var i = 0
+    while (i < od.length) { od(i) = Distances.overlap(centroids(i), ri); i += 1 }
+    od
   }
 }

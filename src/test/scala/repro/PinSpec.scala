@@ -69,6 +69,16 @@ class PinSpec extends SparkSpec {
     assert(got == Seq(-91651953, 1129063195, 2062612569))
   }
 
+  test("Adaptive-4X plans are pinned at a K past the best groups' nodes") {
+    // At K = 400 most best groups hold fewer than K estimated records, so
+    // the plans walk on into the next-ranked groups.
+    val got = MurmurHash3.seqHash(queries.map { case (qid, q) =>
+      val p = ClimberQuery.planFor(index, q, 400, ClimberQuery.Adaptive(4), qid)
+      (p.groupIds, p.nodeDepth, p.nodeSize, p.partitions.toSeq)
+    })
+    assert(got == -641332229)
+  }
+
   test("kNN ids and distances are pinned") {
     val got = queries.take(3).map { case (qid, q) =>
       MurmurHash3.seqHash(ClimberQuery.knn(index, q, 50, ClimberQuery.Adaptive(4), qid))

@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.SparkException
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart, SparkListenerTaskEnd}
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
@@ -36,67 +37,112 @@ class ClimberQuerySpec extends SparkSpec {
 
   test("Example 2: the query selects the best group by OD") {
     val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
-    val plan = ClimberQuery.plan(manualSkeleton, rs, ri)
+    val plan = ClimberQuery.plan(manualSkeleton, rs, ri, 1, ClimberQuery.Knn)
     val g = manualSkeleton.groups(plan.groupIds.head)
     assert(g.centroid.toSeq == Seq(4, 6, 7)) // OD 1 beats OD 2
   }
 
   test("Example 2: trie navigation reaches the deepest matching node") {
     val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
-    val plan = ClimberQuery.plan(manualSkeleton, rs, ri)
+    val plan = ClimberQuery.plan(manualSkeleton, rs, ri, 1, ClimberQuery.Knn)
     assert(plan.nodeDepth == 2)
     assert(plan.nodeSize == 1800L)
   }
 
   test("a query with zero centroid overlap routes to G0") {
-    val plan = ClimberQuery.plan(manualSkeleton, Array(10, 11, 12), Array(10, 11, 12))
+    val plan =
+      ClimberQuery.plan(manualSkeleton, Array(10, 11, 12), Array(10, 11, 12), 1, ClimberQuery.Knn)
     assert(plan.groupIds == Seq(0))
   }
 
   test("plan partitions are valid skeleton partitions") {
-    val plan = ClimberQuery.plan(manualSkeleton, Array(6, 5, 1), Array(1, 5, 6))
+    val plan = ClimberQuery.plan(manualSkeleton, Array(6, 5, 1), Array(1, 5, 6), 1, ClimberQuery.Knn)
     assert(plan.partitions.nonEmpty)
     assert(plan.partitions.forall(p => p >= 0 && p < manualSkeleton.numPartitions))
   }
 
   test("adaptive plan equals the base plan when the node already covers k") {
     val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
-    val base = ClimberQuery.plan(manualSkeleton, rs, ri)
-    val ad = ClimberQuery.planAdaptive(manualSkeleton, rs, ri, k = 500, factor = 4)
+    val base = ClimberQuery.plan(manualSkeleton, rs, ri, 1, ClimberQuery.Knn)
+    val ad = ClimberQuery.plan(manualSkeleton, rs, ri, 500, ClimberQuery.Adaptive(4))
     assert(ad.partitions.toSeq == base.partitions.toSeq)
   }
 
   test("adaptive plan expands when the node holds fewer than k (§VI)") {
     val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
-    val base = ClimberQuery.plan(manualSkeleton, rs, ri)
-    val ad = ClimberQuery.planAdaptive(manualSkeleton, rs, ri, k = 2500, factor = 4)
+    val base = ClimberQuery.plan(manualSkeleton, rs, ri, 1, ClimberQuery.Knn)
+    val ad = ClimberQuery.plan(manualSkeleton, rs, ri, 2500, ClimberQuery.Adaptive(4))
     assert(ad.partitions.length >= base.partitions.length)
     assert(base.partitions.toSet.subsetOf(ad.partitions.toSet))
   }
 
   test("adaptive plan respects the partition cap factor") {
     val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
-    val base = ClimberQuery.plan(manualSkeleton, rs, ri)
+    val base = ClimberQuery.plan(manualSkeleton, rs, ri, 1, ClimberQuery.Knn)
     for (factor <- Seq(2, 4)) {
-      val ad = ClimberQuery.planAdaptive(manualSkeleton, rs, ri, k = 100000, factor = factor)
+      val ad = ClimberQuery.plan(manualSkeleton, rs, ri, 100000, ClimberQuery.Adaptive(factor))
       assert(ad.partitions.length <= factor * base.partitions.length)
     }
   }
 
+  test("adaptive plan walks on to the next-ranked group when k exceeds the best group") {
+    // Group <4,6,7> estimates 5250 records; the next group, <1,2,3> at OD 2,
+    // is a root leaf of 3000.
+    val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
+    val next = manualSkeleton.groups.find(_.centroid.toSeq == Seq(1, 2, 3)).get
+    val ad = ClimberQuery.plan(manualSkeleton, rs, ri, 6000, ClimberQuery.Adaptive(4))
+    assert(ad.groupIds.contains(next.id))
+    assert(next.root.partitions.toSet.subsetOf(ad.partitions.toSet))
+  }
+
   test("2X plan partitions are a subset of the 4X plan partitions") {
     val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
-    val p2 = ClimberQuery.planAdaptive(manualSkeleton, rs, ri, 100000, 2)
-    val p4 = ClimberQuery.planAdaptive(manualSkeleton, rs, ri, 100000, 4)
+    val p2 = ClimberQuery.plan(manualSkeleton, rs, ri, 100000, ClimberQuery.Adaptive(2))
+    val p4 = ClimberQuery.plan(manualSkeleton, rs, ri, 100000, ClimberQuery.Adaptive(4))
     assert(p2.partitions.toSet.subsetOf(p4.partitions.toSet))
   }
 
   test("OD-Smallest covers every partition of the tied groups") {
     val rs = Array(6, 2, 7); val ri = Array(2, 6, 7)
-    val od = ClimberQuery.planOdSmallest(manualSkeleton, ri)
-    val base = ClimberQuery.plan(manualSkeleton, rs, ri)
+    val od = ClimberQuery.plan(manualSkeleton, rs, ri, 1, ClimberQuery.OdSmallest)
+    val base = ClimberQuery.plan(manualSkeleton, rs, ri, 1, ClimberQuery.Knn)
     assert(base.partitions.toSet.subsetOf(od.partitions.toSet))
     val g = manualSkeleton.groups.find(_.centroid.toSeq == Seq(4, 6, 7)).get
     assert(od.partitions.toSet == g.root.partitions.toSet)
+  }
+
+  test("the variants are cuts of one ranked list on the built index") {
+    // Queries from the data and from other seeds; K from below a partition
+    // to beyond the whole dataset.
+    val queryGen = for {
+      id <- Gen.choose(0L, 1999L)
+      seed <- Gen.oneOf(1L, 2L)
+    } yield (id, SeriesGen.local("RandomWalk", id, seed))
+    val sk = index.skeleton
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(100),
+      Prop.forAll(queryGen, Gen.oneOf(50, 400, 2000, 2001), Gen.oneOf(2, 4)) {
+        case ((qid, q), k, f) =>
+          val (rs, ri) = index.pivots.dual(Paa.of(q, index.params.paaW))
+          val knn = ClimberQuery.plan(sk, rs, ri, k, ClimberQuery.Knn, qid).partitions.toSet
+          val ad = ClimberQuery.plan(sk, rs, ri, k, ClimberQuery.Adaptive(f), qid).partitions.toSet
+          val cap = f * knn.size
+          // The estimated sizes of the nodes the plan could have taken fall
+          // short of K only when no further node fits under the cap.
+          val cands = ClimberQuery.ranked(sk, rs, ri)
+          val held = cands.filter(_.node.partitions.forall(ad)).map(_.node.size).sum
+          val fits = cands.exists { c =>
+            val fresh = c.node.partitions.count(!ad(_))
+            fresh > 0 && ad.size + fresh <= cap
+          }
+          // OD-Smallest: every partition of the groups at the minimal OD.
+          val od = sk.centroids.map(Distances.overlap(_, ri))
+          val minOd = (od :+ ri.length).min
+          val odGroups = if (minOd == ri.length) Seq(0) else od.indices.filter(od(_) == minOd).map(_ + 1)
+          knn.subsetOf(ad) && ad.size <= cap && (held >= k || !fits) &&
+            ClimberQuery.plan(sk, rs, ri, k, ClimberQuery.OdSmallest).partitions.toSet ==
+              odGroups.flatMap(sk.groups(_).root.partitions).toSet
+      })
+    assert(res.passed, res.status.toString)
   }
 
   // ---------------- End-to-end kNN on real data ----------------

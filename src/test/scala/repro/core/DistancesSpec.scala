@@ -82,12 +82,8 @@ class DistancesSpec extends SparkSpec {
     assert(pivotWeights(4, ExpDecay(0.5)).toSeq == Seq(1.0, 0.5, 0.25, 0.125))
   }
 
-  test("linear decay: λ=1/m sequence is [1, (m−1)/m, (m−2)/m, ...]") {
-    assert(pivotWeights(4, LinearDecay).toSeq == Seq(1.0, 0.75, 0.5, 0.25))
-  }
-
   test("decay weights are strictly decreasing (Def. 9 requirement)") {
-    for (decay <- Seq[Decay](ExpDecay(0.5), ExpDecay(0.9), LinearDecay); m <- Seq(2, 5, 10, 20)) {
+    for (decay <- Seq(ExpDecay(0.5), ExpDecay(0.9), ExpDecay(0.1)); m <- Seq(2, 5, 10, 20)) {
       val w = pivotWeights(m, decay)
       w.sliding(2).foreach(p => assert(p(0) > p(1), s"$decay m=$m"))
     }
@@ -100,34 +96,36 @@ class DistancesSpec extends SparkSpec {
 
   // ---------------- Total Weight (Def. 10) ----------------
 
-  test("TW is a constant for fixed (m, decay)") {
-    assert(totalWeight(3, ExpDecay(0.5)) == 1.75)
-    assert(totalWeight(4, LinearDecay) == 2.5)
-  }
+  /** Total Weight: the sum of the position weights. */
+  private def tw(m: Int): Double = pivotWeights(m, ExpDecay(0.5)).sum
 
-  test("TW equals the sum of the position weights") {
-    for (m <- 1 to 12)
-      assert(math.abs(totalWeight(m, ExpDecay(0.5)) - pivotWeights(m, ExpDecay(0.5)).sum) < 1e-12)
+  test("TW is a constant for fixed (m, decay)") {
+    assert(tw(3) == 1.75)
+    assert(math.abs(pivotWeights(2, ExpDecay(0.9)).sum - 1.9) < 1e-12)
   }
 
   // ---------------- Weight Distance (Def. 11) ----------------
 
+  /** Weight Distance under λ = 1/2: TW minus the weight `rs`'s pivots in `c` cover. */
+  private def weightDistance(rs: Array[Int], c: Array[Int]): Double =
+    tw(rs.length) - coveredWeight(rs, c, pivotWeights(rs.length, ExpDecay(0.5)))
+
   test("WD: paper Example 1 — WD(Y, o1)=1.0 and WD(Y, o2)=0.25") {
     val yRs = Array(4, 2, 1)
-    assert(math.abs(weightDistance(yRs, sig(1, 2, 3), ExpDecay(0.5)) - 1.0) < 1e-12)
-    assert(math.abs(weightDistance(yRs, sig(2, 4, 5), ExpDecay(0.5)) - 0.25) < 1e-12)
+    assert(math.abs(weightDistance(yRs, sig(1, 2, 3)) - 1.0) < 1e-12)
+    assert(math.abs(weightDistance(yRs, sig(2, 4, 5)) - 0.25) < 1e-12)
   }
 
   test("WD: paper Example 1 — WD(Z, o1) = WD(Z, o2) = 1.25 (the tie)") {
     val zRs = Array(6, 2, 7)
-    assert(math.abs(weightDistance(zRs, sig(1, 2, 3), ExpDecay(0.5)) - 1.25) < 1e-12)
-    assert(math.abs(weightDistance(zRs, sig(2, 4, 5), ExpDecay(0.5)) - 1.25) < 1e-12)
+    assert(math.abs(weightDistance(zRs, sig(1, 2, 3)) - 1.25) < 1e-12)
+    assert(math.abs(weightDistance(zRs, sig(2, 4, 5)) - 1.25) < 1e-12)
   }
 
   test("WD: full coverage gives 0, zero coverage gives TW") {
     val rs = Array(3, 1, 2)
-    assert(weightDistance(rs, sig(1, 2, 3), ExpDecay(0.5)) == 0.0)
-    assert(weightDistance(rs, sig(7, 8, 9), ExpDecay(0.5)) == totalWeight(3, ExpDecay(0.5)))
+    assert(weightDistance(rs, sig(1, 2, 3)) == 0.0)
+    assert(weightDistance(rs, sig(7, 8, 9)) == tw(3))
   }
 
   test("WD: bounded in [0, TW]") {
@@ -135,15 +133,15 @@ class DistancesSpec extends SparkSpec {
     check(Prop.forAll(pick, pick) { (rsP, cP) =>
       val rs = rsP.toArray
       val c = cP.toArray.sorted
-      val d = weightDistance(rs, c, ExpDecay(0.5))
-      d >= -1e-12 && d <= totalWeight(5, ExpDecay(0.5)) + 1e-12
+      val d = weightDistance(rs, c)
+      d >= -1e-12 && d <= tw(5) + 1e-12
     })
   }
 
   test("WD: covering a higher-ranked pivot lowers WD more than a lower-ranked one") {
     val rs = Array(10, 11, 12)
-    val coverFirst = weightDistance(rs, sig(10, 98, 99), ExpDecay(0.5))
-    val coverLast = weightDistance(rs, sig(12, 98, 99), ExpDecay(0.5))
+    val coverFirst = weightDistance(rs, sig(10, 98, 99))
+    val coverLast = weightDistance(rs, sig(12, 98, 99))
     assert(coverFirst < coverLast)
   }
 

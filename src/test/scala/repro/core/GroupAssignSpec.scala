@@ -2,7 +2,7 @@ package repro.core
 
 import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
-import repro.core.Distances.{Decay, ExpDecay, LinearDecay}
+import repro.core.Distances.{Decay, ExpDecay}
 
 class GroupAssignSpec extends SparkSpec {
 
@@ -118,26 +118,48 @@ class GroupAssignSpec extends SparkSpec {
       val best = rank(rs, ri, centroids, decay)
       if (best.size == 1) best.head else GroupAssign.tieBreak(recordId, best)
     }
+
+    /** Every group sharing a pivot with `ri` by (OD, WD, id), then G₀. */
+    def order(rs: Array[Int], ri: Array[Int], centroids: IndexedSeq[Array[Int]],
+              decay: Decay): Seq[(Int, Int, Double)] = {
+      val shared = centroids.indices.map(i =>
+        (i + 1, Distances.overlap(centroids(i), ri), weightDistance(rs, centroids(i), decay)))
+        .filter(_._2 < ri.length)
+      shared.sortBy { case (g, od, wd) => (od, wd, g) } :+
+        ((0, ri.length, Distances.pivotWeights(rs.length, decay).sum))
+    }
   }
 
+  /** `rank` and `odSmallest` as cuts of `order`: its head (OD, WD) tier and
+    * its head OD tier.
+    */
+  private def rankCut(o: Seq[GroupAssign.Ranked]): Seq[Int] =
+    o.takeWhile(r => r.od == o.head.od && r.wd == o.head.wd).map(_.group)
+  private def odCut(o: Seq[GroupAssign.Ranked]): Seq[Int] =
+    o.takeWhile(_.od == o.head.od).map(_.group).sorted
+
   test("odSmallest, rank and assign equal the collection formulation") {
-    // Pivot ids from a universe of 8 and up to 8 centroids, repeats allowed:
-    // OD ties, WD ties (a repeated centroid, or two covering the same pivots
-    // of rs), the G₀ fall-back and the empty centroid list all occur.
+    // `order` against a sort of every group, its first OD and (OD, WD) tiers
+    // against `odSmallest` and `rank`, and `assign`. Pivot ids from a
+    // universe of 8 and up to 8 centroids, repeats allowed: OD ties, WD ties
+    // (a repeated centroid, or two covering the same pivots of rs), the G₀
+    // fall-back and the empty centroid list all occur.
     val inputs = for {
       m <- Gen.choose(1, 4)
       centroids <- Gen.choose(0, 8).flatMap(Gen.listOfN(_, Gen.pick(m, 0 until 8)))
       set <- Gen.pick(m, 0 until 8)
       shuffle <- Gen.long
       rs = new scala.util.Random(shuffle).shuffle(set.toList)
-      decay <- Gen.oneOf[Decay](ExpDecay(0.5), ExpDecay(0.9), LinearDecay)
+      decay <- Gen.oneOf[Decay](ExpDecay(0.5), ExpDecay(0.9))
       id <- Gen.long
     } yield (centroids.map(_.sorted.toArray).toIndexedSeq, rs.toArray, decay, id)
     val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(1000),
       Prop.forAll(inputs) { case (cs, rs, decay, id) =>
         val ri = rs.sorted
-        GroupAssign.odSmallest(ri, cs) == Reference.odSmallest(ri, cs) &&
-          GroupAssign.rank(rs, ri, cs, decay) == Reference.rank(rs, ri, cs, decay) &&
+        val order = GroupAssign.order(rs, ri, cs, decay)
+        order.map(r => (r.group, r.od, r.wd)) == Reference.order(rs, ri, cs, decay) &&
+          odCut(order) == Reference.odSmallest(ri, cs) &&
+          rankCut(order) == Reference.rank(rs, ri, cs, decay) &&
           GroupAssign.assign(id, rs, ri, cs, decay) == Reference.assign(id, rs, ri, cs, decay)
       })
     assert(res.passed, res.status.toString)
