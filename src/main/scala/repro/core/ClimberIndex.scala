@@ -100,12 +100,10 @@ object ClimberIndex {
     // dataset. repartitionById shuffles through an exact partitioner (Spark
     // partition = part), the analogue of one HDFS file per CLIMBER partition.
     val bcSkel = spark.sparkContext.broadcast(skeleton)
-    val placeUdf = udf { (id: Long, series: Array[Double]) =>
-      val (rs, ri) = bcPivots.value.dual(Paa.of(series, params.paaW))
-      bcSkel.value.place(id, rs, ri)
-    }
+    val placeUdf = udf((series: Array[Double]) =>
+      bcSkel.value.place(bcPivots.value.rankSensitive(Paa.of(series, params.paaW))))
     val data = df
-      .withColumn("_p", placeUdf(col("id"), col("series")))
+      .withColumn("_p", placeUdf(col("series")))
       .select(col("id"), col("series"), col("_p._1").as("group"), col("_p._2").as("part"))
       .repartitionById(skeleton.numPartitions, col("part"))
       .cache()

@@ -9,7 +9,9 @@ object Distances {
 
   /** Euclidean distance, Def. 3. */
   def euclidean(x: Array[Double], y: Array[Double]): Double = {
-    require(x.length == y.length, s"length mismatch ${x.length} vs ${y.length}")
+    // A plain throw, not `require`: its by-name message is a closure built per call.
+    if (x.length != y.length) throw new IllegalArgumentException(
+      s"requirement failed: length mismatch ${x.length} vs ${y.length}")
     var s = 0.0
     var i = 0
     while (i < x.length) { val d = x(i) - y(i); s += d * d; i += 1 }
@@ -30,7 +32,8 @@ object Distances {
     * with a linear merge.
     */
   def overlap(x: Array[Int], y: Array[Int]): Int = {
-    require(x.length == y.length, s"signature length mismatch ${x.length} vs ${y.length}")
+    if (x.length != y.length) throw new IllegalArgumentException(
+      s"requirement failed: signature length mismatch ${x.length} vs ${y.length}")
     val m = x.length
     var i = 0; var j = 0; var inter = 0
     while (i < m && j < m) {

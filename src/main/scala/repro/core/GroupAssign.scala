@@ -13,8 +13,9 @@ import repro.core.Distances.Decay
   *   2. ties broken by smallest Weight Distance (Def. 11) using the decayed
   *      pivot weights of X's rank-sensitive signature;
   *   3. remaining ties broken by a deterministic pseudo-random pick keyed on
-  *      the record id (the paper picks randomly; keying on the id keeps the
-  *      whole pipeline reproducible).
+  *      the object's P⁴→ (the paper picks randomly; keying on the signature
+  *      keeps the pipeline reproducible, and sends a sampled signature and
+  *      every record that has it to the same group).
   *
   * Centroid ids are 1-based; id 0 is reserved for the fall-back group G₀
   * whose centroid is the special `<*,*,…>` entry of Algorithm 2.
@@ -23,9 +24,6 @@ object GroupAssign {
 
   /** One group of `order`'s ranking with its Overlap and Weight Distance. */
   final case class Ranked(group: Int, od: Int, wd: Double)
-
-  /** Deterministic stand-in for Algorithm 1's random tie-break. */
-  def tieBreak(recordId: Long, candidates: Seq[Int]): Int = SplitMix.pick(recordId, candidates)
 
   /** The one OD → WD ranking of the groups (Algorithm 3, lines 5-9, over
     * every group): each group that shares a pivot with `ri`, by ascending
@@ -43,10 +41,11 @@ object GroupAssign {
   }
 
   /** Assign one object to a group of `order`'s head tier (0 = G₀), on
-    * primitive arrays and with WD only for the OD-tied centroids.
-    * `centroids` maps 1-based group id → sorted rank-insensitive signature.
+    * primitive arrays and with WD only for the OD-tied centroids; `key`
+    * seeds the pick among (OD, WD) ties. `centroids` maps 1-based group id →
+    * sorted rank-insensitive signature.
     */
-  def assign(recordId: Long, rs: Array[Int], ri: Array[Int],
+  def assign(key: Long, rs: Array[Int], ri: Array[Int],
              centroids: IndexedSeq[Array[Int]], decay: Decay): Int = {
     // Lines 1-7: the smallest OD; m for every centroid means G₀.
     val od = overlaps(ri, centroids)
@@ -74,7 +73,7 @@ object GroupAssign {
     val minWd = wd.min
     val tied = best.indices.iterator.filter(wd(_) == minWd).map(best(_)).toArray
     // Lines 13-14: second tie — (deterministic) random pick.
-    if (tied.length == 1) tied(0) else tieBreak(recordId, ArraySeq.unsafeWrapArray(tied))
+    if (tied.length == 1) tied(0) else SplitMix.pick(key, ArraySeq.unsafeWrapArray(tied))
   }
 
   /** Each centroid's Overlap Distance to `ri`. */

@@ -20,27 +20,32 @@ final case class Group(
 final case class IndexSkeleton(
     groups: IndexedSeq[Group], // groups(0) is G₀; groups(i).id == i
     numPartitions: Int,
-    capacity: Long,
     decay: Decay,
 ) extends Serializable {
 
   /** Centroids of the non-fallback groups, indexed for Algorithm 1. */
   @transient lazy val centroids: IndexedSeq[Array[Int]] = groups.drop(1).map(_.centroid)
 
-  /** Step-4 placement: (groupId, partitionId) for one record. A record that
-    * cannot navigate a complete root-to-leaf path in its group's trie goes
-    * to the group's default partition (§V Step 3).
+  /** Step-4 placement: (groupId, partitionId) of a record with P⁴→ `rs`,
+    * by the same rule that sized the tries in Step 3. A record that cannot
+    * navigate a complete root-to-leaf path in its group's trie goes to the
+    * group's default partition (§V Step 3).
     */
-  def place(recordId: Long, rs: Array[Int], ri: Array[Int]): (Int, Int) = {
-    val g = GroupAssign.assign(recordId, rs, ri, centroids, decay)
+  def place(rs: Array[Int]): (Int, Int) = {
+    val g = IndexSkeleton.groupOf(rs, centroids, decay)
     val group = groups(g)
     val node = group.root.navigate(rs)
-    val part = if (node.isLeaf) node.leafPartition else group.defaultPartition
+    val part = if (node.isLeaf) node.partitions(0) else group.defaultPartition
     (g, part)
   }
 }
 
 object IndexSkeleton {
+
+  /** Algorithm 1 keyed on the P⁴→: Steps 3 and 4 both assign through here. */
+  private def groupOf(rs: Array[Int], centroids: IndexedSeq[Array[Int]], decay: Decay): Int =
+    GroupAssign.assign(java.util.Arrays.hashCode(rs).toLong, rs, PivotSet.rankInsensitive(rs),
+      centroids, decay)
 
   /** Build the skeleton from the frequency-aggregated sample signatures
     * (Steps 2-3 of Figure 6).
@@ -57,11 +62,7 @@ object IndexSkeleton {
     val centroids = Centroids.compute(riAgg, alpha, capacity, epsilon, maxCentroids)
 
     // Step 3: assign the sampled rank-sensitive signatures to the centroids.
-    // The "record id" for the deterministic tie-break is a hash of the sig.
-    val byGroup = rsAgg.groupBy { sf =>
-      GroupAssign.assign(java.util.Arrays.hashCode(sf.sig).toLong, sf.sig,
-        PivotSet.rankInsensitive(sf.sig), centroids, decay)
-    }
+    val byGroup = rsAgg.groupBy(sf => groupOf(sf.sig, centroids, decay))
 
     // Scale sampled frequencies to full-dataset estimates, build each
     // group's trie, and pack leaves into globally numbered partitions.
@@ -80,6 +81,6 @@ object IndexSkeleton {
       partitionBase += occ.length
       group
     }
-    IndexSkeleton(groups, partitionBase, capacity, decay)
+    IndexSkeleton(groups, partitionBase, decay)
   }
 }

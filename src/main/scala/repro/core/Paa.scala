@@ -17,7 +17,9 @@ object Paa {
     */
   def of(xs: Array[Double], w: Int): Array[Double] = {
     val n = xs.length
-    require(w > 0 && n % w == 0, s"segment count $w must divide series length $n")
+    // A plain throw, not `require`: its by-name message is a closure built per call.
+    if (w <= 0 || n % w != 0) throw new IllegalArgumentException(
+      s"requirement failed: segment count $w must divide series length $n")
     val seg = n / w
     val out = new Array[Double](w)
     var s = 0

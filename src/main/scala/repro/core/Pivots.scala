@@ -28,8 +28,10 @@ final case class PivotSet(vectors: Array[Array[Double]], prefixLen: Int) extends
     */
   def rankSensitive(paa: Array[Double]): Array[Int] = {
     // squaredEuclidean loops over the PAA's length: a longer PAA would read
-    // past a pivot, a shorter one rank on a partial distance.
-    require(paa.length == width, s"PAA width ${paa.length} differs from the pivots' width $width")
+    // past a pivot, a shorter one rank on a partial distance. A plain throw,
+    // not `require`: its by-name message is a closure built per call.
+    if (paa.length != width) throw new IllegalArgumentException(
+      s"requirement failed: PAA width ${paa.length} differs from the pivots' width $width")
     // Insertion select of the m smallest (distance, id) pairs. Pivots are
     // visited in id order, so a pivot enters only when strictly closer than
     // the current m-th and moves only past strictly farther ones: equal

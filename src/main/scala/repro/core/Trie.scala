@@ -13,12 +13,10 @@ import scala.collection.mutable
   * is exhausted, or when all members share the remaining path.
   */
 final case class TrieNode(
-    pivot: Int, // pivot on the edge from the parent; -1 for the root
     depth: Int,
     size: Long, // estimated number of records (full-dataset scale)
-    children: Map[Int, TrieNode],
-    leafPartition: Int, // packed partition id for leaves; -1 for internal nodes
-    partitions: Array[Int], // all partition ids under this node (leaf: length 1)
+    children: Map[Int, TrieNode], // keyed by the pivot on the edge to the child
+    partitions: Array[Int], // all partition ids under this node (leaf: its one partition)
 ) extends Serializable {
   def isLeaf: Boolean = children.isEmpty
 
@@ -37,13 +35,12 @@ final case class TrieNode(
   }
 
   def allNodes: Seq[TrieNode] = this +: children.values.toSeq.flatMap(_.allNodes)
-  def leaves: Seq[TrieNode] = if (isLeaf) Seq(this) else children.values.toSeq.flatMap(_.leaves)
 }
 
 object Trie {
 
   /** Mutable build node. */
-  private final class BNode(val pivot: Int, val depth: Int) {
+  private final class BNode(val depth: Int) {
     var size: Long = 0L
     val members = mutable.ArrayBuffer[(Array[Int], Long)]() // (rs sig, est count)
     val children = mutable.LinkedHashMap[Int, BNode]()
@@ -52,11 +49,10 @@ object Trie {
 
   /** Build the trie of one group from its sampled rank-sensitive signatures
     * with estimated (full-scale) counts, splitting nodes larger than
-    * `capacity`. Returns the root plus the list of leaves in deterministic
-    * order.
+    * `capacity`.
     */
   private def buildMutable(sigs: Seq[(Array[Int], Long)], capacity: Long): BNode = {
-    val root = new BNode(-1, 0)
+    val root = new BNode(0)
     root.members ++= sigs
     root.size = sigs.map(_._2).sum
     def split(node: BNode): Unit = {
@@ -65,7 +61,7 @@ object Trie {
       val byPivot = node.members.groupBy { case (sig, _) => sig(node.depth) }
       if (byPivot.isEmpty) return
       for ((p, mem) <- byPivot.toSeq.sortBy(_._1)) {
-        val c = new BNode(p, node.depth + 1)
+        val c = new BNode(node.depth + 1)
         c.members ++= mem
         c.size = mem.map(_._2).sum
         node.children(p) = c
@@ -103,13 +99,9 @@ object Trie {
   def build(sigs: Seq[(Array[Int], Long)], capacity: Long,
             partitionBase: Int): (TrieNode, Array[Long]) = {
     val root = buildMutable(sigs, capacity)
-    val leaves = {
-      val buf = mutable.ArrayBuffer[BNode]()
-      def collect(n: BNode): Unit =
-        if (n.children.isEmpty) buf += n else n.children.values.foreach(collect)
-      collect(root)
-      buf.toSeq
-    }
+    def leavesOf(n: BNode): Seq[BNode] =
+      if (n.children.isEmpty) Seq(n) else n.children.values.toSeq.flatMap(leavesOf)
+    val leaves = leavesOf(root)
     val (assign, occ) = packFfd(leaves.map(_.size), capacity)
     leaves.zipWithIndex.foreach { case (leaf, i) => leaf.partition = partitionBase + assign(i) }
     def freeze(n: BNode): TrieNode = {
@@ -117,9 +109,7 @@ object Trie {
       val parts: Array[Int] =
         if (n.children.isEmpty) Array(n.partition)
         else kids.values.flatMap(_.partitions).toArray.distinct.sorted
-      TrieNode(n.pivot, n.depth, n.size, kids,
-        leafPartition = if (n.children.isEmpty) n.partition else -1,
-        partitions = parts)
+      TrieNode(n.depth, n.size, kids, parts)
     }
     (freeze(root), occ)
   }

@@ -116,7 +116,9 @@ object Dss {
     * so the same bits.
     */
   private def euclidean(base: AnyRef, offset: Long, n: Int, y: Array[Double]): Double = {
-    require(n == y.length, s"length mismatch $n vs ${y.length}")
+    // A plain throw, not `require`: its by-name message is a closure built per call.
+    if (n != y.length)
+      throw new IllegalArgumentException(s"requirement failed: length mismatch $n vs ${y.length}")
     var s = 0.0
     var i = 0
     while (i < n) { val d = Platform.getDouble(base, offset + 8L * i) - y(i); s += d * d; i += 1 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
+import repro.exp.Workloads
 import repro.series.SeriesGen
 
 class ClimberIndexSpec extends SparkSpec {
@@ -52,8 +53,7 @@ class ClimberIndexSpec extends SparkSpec {
     val rows = index.data.select("id", "group", "part").limit(100).collect()
     rows.foreach { r =>
       val paa = Paa.of(SeriesGen.local("RandomWalk", r.getLong(0), 1), params.paaW)
-      val (rs, ri) = index.pivots.dual(paa)
-      val (g, p) = index.skeleton.place(r.getLong(0), rs, ri)
+      val (g, p) = index.skeleton.place(index.pivots.rankSensitive(paa))
       assert(g == r.getInt(1) && p == r.getInt(2))
     }
   }
@@ -108,5 +108,39 @@ class ClimberIndexSpec extends SparkSpec {
   test("pivot count and prefix length follow the parameters") {
     assert(index.pivots.numPivots == params.numPivots)
     assert(index.pivots.prefixLen == params.prefixLen)
+  }
+
+  // ---------------- Degenerate inputs (DESIGN.md §7) ----------------
+
+  test("a sample smaller than r yields fewer pivots, and the index still answers") {
+    // 60 series at α = 0.3 sample 16 rows for r = 200 pivots.
+    val small = SeriesGen.generate(spark, "RandomWalk", 60, seed = 1)
+    val si = ClimberIndex.build(spark, small, Workloads.benchParams.copy(alpha = 0.3))
+    assert(si.pivots.numPivots == 16)
+    assert(si.pivots.prefixLen == 10)
+    val res = ClimberQuery.knn(si, SeriesGen.local("RandomWalk", 5, 1), 10, ClimberQuery.Adaptive(4), 5)
+    assert(res.size == 10)
+    assert(res.head == ((5L, 0.0)))
+    si.data.unpersist()
+  }
+
+  test("an empty sample fails loudly") {
+    val tiny = SeriesGen.generate(spark, "RandomWalk", 3, seed = 1)
+    val e = intercept[IllegalArgumentException](
+      ClimberIndex.build(spark, tiny, Workloads.benchParams.copy(alpha = 0.01)))
+    assert(e.getMessage.contains("empty sample — cannot select pivots"), e.getMessage)
+  }
+
+  test("identical series share one partition past the capacity, and queries still return K") {
+    // Every pivot distance ties, so every record has one P⁴→ and one trie
+    // leaf: the documented capacity degrade, 500 rows at c = 50.
+    val same = spark.range(0, 500, 1, 4).select(col("id"),
+      udf((_: Long) => SeriesGen.local("RandomWalk", 0, 1)).apply(col("id")).as("series"))
+    val si = ClimberIndex.build(spark, same, Workloads.benchParams.copy(capacity = 50))
+    val parts = si.data.groupBy("part").count().collect().map(r => (r.getInt(0), r.getLong(1)))
+    assert(parts.length == 1 && parts.head._2 == 500L)
+    val res = ClimberQuery.knn(si, SeriesGen.local("RandomWalk", 0, 1), 10, ClimberQuery.Adaptive(4))
+    assert(res.size == 10 && res.forall(_._2 == 0.0))
+    si.data.unpersist()
   }
 }

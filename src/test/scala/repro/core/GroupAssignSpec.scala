@@ -64,18 +64,18 @@ class GroupAssignSpec extends SparkSpec {
     assert(g == 2)
   }
 
-  test("tieBreak returns only candidates and is stable") {
+  test("SplitMix.pick returns only candidates and is stable") {
     val cands = Seq(3, 5, 9)
-    for (id <- 0L until 100L) {
-      val p = GroupAssign.tieBreak(id, cands)
+    for (key <- 0L until 100L) {
+      val p = SplitMix.pick(key, cands)
       assert(cands.contains(p))
-      assert(p == GroupAssign.tieBreak(id, cands))
+      assert(p == SplitMix.pick(key, cands))
     }
   }
 
-  test("tieBreak covers all candidates over many ids") {
+  test("SplitMix.pick covers all candidates over many keys") {
     val cands = Seq(1, 2, 3, 4)
-    val seen = (0L until 500L).map(GroupAssign.tieBreak(_, cands)).toSet
+    val seen = (0L until 500L).map(SplitMix.pick(_, cands)).toSet
     assert(seen == cands.toSet)
   }
 
@@ -113,10 +113,10 @@ class GroupAssignSpec extends SparkSpec {
       }
     }
 
-    def assign(recordId: Long, rs: Array[Int], ri: Array[Int],
+    def assign(key: Long, rs: Array[Int], ri: Array[Int],
                centroids: IndexedSeq[Array[Int]], decay: Decay): Int = {
       val best = rank(rs, ri, centroids, decay)
-      if (best.size == 1) best.head else GroupAssign.tieBreak(recordId, best)
+      if (best.size == 1) best.head else SplitMix.pick(key, best)
     }
 
     /** Every group sharing a pivot with `ri` by (OD, WD, id), then G₀. */

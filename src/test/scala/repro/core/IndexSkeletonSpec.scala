@@ -52,14 +52,14 @@ class IndexSkeletonSpec extends SparkSpec {
     val sk = IndexSkeleton.build(ri, rs, 1.0, 60, 2, decay)
     val gA = sk.groups.find(_.centroid.toSeq == Seq(1, 2, 3)).get.id
     val gB = sk.groups.find(_.centroid.toSeq == Seq(7, 8, 9)).get.id
-    assert(sk.place(1L, Array(2, 3, 1), Array(1, 2, 3))._1 == gA)
-    assert(sk.place(2L, Array(9, 7, 8), Array(7, 8, 9))._1 == gB)
+    assert(sk.place(Array(2, 3, 1))._1 == gA)
+    assert(sk.place(Array(9, 7, 8))._1 == gB)
   }
 
   test("placement of an unseen signature with zero overlap goes to G0") {
     val (ri, rs) = twoClusterAgg
     val sk = IndexSkeleton.build(ri, rs, 1.0, 60, 2, decay)
-    val (g, p) = sk.place(3L, Array(20, 21, 22), Array(20, 21, 22))
+    val (g, p) = sk.place(Array(20, 21, 22))
     assert(g == 0)
     assert(sk.groups(0).root.partitions.contains(p))
   }
@@ -68,11 +68,10 @@ class IndexSkeletonSpec extends SparkSpec {
     val (ri, rs) = twoClusterAgg
     val sk = IndexSkeleton.build(ri, rs, 1.0, 40, 2, decay)
     val rng = new java.util.Random(4)
-    for (id <- 0L until 200L) {
+    for (_ <- 0 until 200) {
       val rsSig = Array.fill(3)(1 + rng.nextInt(9)).distinct
       if (rsSig.length == 3) {
-        val riSig = rsSig.clone().sorted
-        val (g, p) = sk.place(id, rsSig, riSig)
+        val (g, p) = sk.place(rsSig)
         assert(sk.groups(g).root.partitions.contains(p))
       }
     }
@@ -87,9 +86,36 @@ class IndexSkeletonSpec extends SparkSpec {
     val g = sk.groups.find(_.root.children.nonEmpty)
     assume(g.isDefined, "expected at least one split trie")
     val grp = g.get
-    val (gid, p) = sk.place(9L, Array(6, 2, 3), Array(2, 3, 6))
+    val (gid, p) = sk.place(Array(6, 2, 3))
     if (gid == grp.id && grp.root.children.get(6).isEmpty)
       assert(p == grp.defaultPartition)
+  }
+
+  test("Step 4 places every sampled P⁴→ where Step 3 sized it, OD/WD ties included") {
+    // Centroids <1,2,3> and <1,4,5>. Each tied signature <1, x+1, x> shares
+    // only pivot 1, in first position, with both: equal OD and equal WD, so
+    // Algorithm 1's random pick decides. It is not sorted, so P⁴→ and P⁴⇉
+    // differ as pick keys.
+    val tied = (0 until 40).map(i => SigFreq(Array(1, 11 + 2 * i, 10 + 2 * i), 3))
+    val rsAgg = SigFreq(Array(1, 2, 3), 100) +: SigFreq(Array(1, 4, 5), 90) +: tied
+    val alpha = 0.4
+    val sk = IndexSkeleton.build(PivotSet.rankInsensitiveAgg(rsAgg), rsAgg, alpha,
+      capacity = 150, epsilon = 2, decay = decay)
+    assert(sk.centroids.map(_.toSeq) == IndexedSeq(Seq(1, 2, 3), Seq(1, 4, 5)))
+    val placed = rsAgg.map(sf => sf -> sk.place(sf.sig))
+    // The ties split between the two groups, so no fixed pick passes.
+    assert(tied.map(sf => sk.place(sf.sig)._1).toSet == Set(1, 2))
+    placed.foreach { case (sf, (g, p)) =>
+      val node = sk.groups(g).root.navigate(sf.sig)
+      assert(node.isLeaf, s"${sf.sig.toSeq} stops at an internal node of group $g")
+      assert(node.partitions.toSeq == Seq(p))
+    }
+    sk.groups.foreach { grp =>
+      val budget = placed.collect { case (sf, (g, _)) if g == grp.id =>
+        math.max(1L, math.round(sf.freq / alpha))
+      }.sum
+      assert(grp.root.size == budget, s"group ${grp.id}")
+    }
   }
 
   test("sampled frequencies are scaled by 1/α in node size estimates") {
@@ -110,6 +136,6 @@ class IndexSkeletonSpec extends SparkSpec {
   test("empty sample yields a skeleton with only G0") {
     val sk = IndexSkeleton.build(Seq.empty, Seq.empty, 1.0, 100, 1, decay)
     assert(sk.groups.size == 1)
-    assert(sk.place(1L, Array(1, 2, 3), Array(1, 2, 3)) == ((0, sk.groups(0).defaultPartition)))
+    assert(sk.place(Array(1, 2, 3)) == ((0, sk.groups(0).defaultPartition)))
   }
 }

@@ -6,6 +6,11 @@ class TrieSpec extends SparkSpec {
 
   private def sig(xs: Int*): Array[Int] = xs.toArray
 
+  /** Each leaf under `n` with its pivot path from `n`. */
+  private def leafPaths(n: TrieNode, path: List[Int] = Nil): Seq[(List[Int], TrieNode)] =
+    if (n.isLeaf) Seq(path.reverse -> n)
+    else n.children.toSeq.flatMap { case (p, c) => leafPaths(c, p :: path) }
+
   // A Figure-5-like group: total 5250, capacity 3000 forces splitting.
   private val fig5 = Seq(
     (sig(6, 2, 7), 1800L),
@@ -42,15 +47,18 @@ class TrieSpec extends SparkSpec {
 
   test("leaves are disjoint and cover the whole group") {
     val (root, _) = Trie.build(fig5, 3000L, 0)
-    val leaves = root.leaves
-    assert(leaves.map(_.size).sum == 5250L)
-    // Root-to-leaf paths are distinct pivot prefixes.
-    assert(leaves.map(n => (n.depth, n.pivot)).distinct.size == leaves.size)
+    val leaves = leafPaths(root)
+    assert(leaves.map(_._2.size).sum == 5250L)
+    leaves.foreach { case (path, leaf) => assert(path.length == leaf.depth) }
+    // Each member's signature extends exactly one root-to-leaf path.
+    val paths = leaves.map(_._1)
+    fig5.foreach { case (s, _) => assert(paths.count(p => s.startsWith(p)) == 1) }
+    assert(paths.forall(a => paths.count(_.startsWith(a)) == 1))
   }
 
   test("every node's size is the sum of its leaves") {
     val (root, _) = Trie.build(fig5, 3000L, 0)
-    root.allNodes.foreach(n => assert(n.leaves.map(_.size).sum == n.size))
+    root.allNodes.foreach(n => assert(leafPaths(n).map(_._2.size).sum == n.size))
   }
 
   test("trie depth never exceeds the prefix length") {
@@ -81,16 +89,17 @@ class TrieSpec extends SparkSpec {
 
   test("leaf partition ids start at the partition base") {
     val (root, occ) = Trie.build(fig5, 3000L, 100)
-    root.leaves.foreach { l =>
-      assert(l.leafPartition >= 100 && l.leafPartition < 100 + occ.length)
+    leafPaths(root).foreach { case (_, l) =>
+      assert(l.partitions.length == 1)
+      assert(l.partitions(0) >= 100 && l.partitions(0) < 100 + occ.length)
     }
   }
 
-  test("internal nodes have leafPartition = -1 and non-empty partition sets") {
+  test("internal nodes hold the sorted union of their leaves' partitions") {
     val (root, _) = Trie.build(fig5, 3000L, 0)
     root.allNodes.filterNot(_.isLeaf).foreach { n =>
-      assert(n.leafPartition == -1)
       assert(n.partitions.nonEmpty)
+      assert(n.partitions.toSeq == leafPaths(n).flatMap(_._2.partitions).distinct.sorted)
     }
   }
 
