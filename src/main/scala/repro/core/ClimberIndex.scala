@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.Centroids.SigFreq
 import repro.core.Distances.{Decay, ExpDecay}
+import repro.scan.Dss
 
 /** Configuration of CLIMBER (defaults follow §VII-A where the paper gives
   * them: r = 200 pivots, prefix length m = 10; see DESIGN.md §6 for the
@@ -44,8 +45,8 @@ final case class BuildStats(
 /** A fully built CLIMBER index: the broadcastable skeleton, the pivot set,
   * and the re-distributed dataset with columns
   * (id: long, series: array<double>, group: int, part: int),
-  * cached with one Spark partition per CLIMBER partition: Spark partition
-  * `p` holds exactly the rows with `part = p`.
+  * cached by `Dss.cacheByPart` with one Spark partition per CLIMBER
+  * partition: Spark partition `p` holds exactly the rows with `part = p`.
   */
 final case class ClimberIndex(
     params: ClimberParams,
@@ -97,17 +98,21 @@ object ClimberIndex {
     val t1 = System.nanoTime()
 
     // Step 4: broadcast the skeleton, place and re-distribute the full
-    // dataset. repartitionById shuffles through an exact partitioner (Spark
-    // partition = part), the analogue of one HDFS file per CLIMBER partition.
+    // dataset, one Spark partition per CLIMBER partition (the analogue of
+    // one HDFS file per partition). The layout is loaded here, so the timing
+    // is honest. A series whose PAA holds a NaN has no nearest pivots, so it
+    // fails the build (DESIGN.md §7).
     val bcSkel = spark.sparkContext.broadcast(skeleton)
-    val placeUdf = udf((series: Array[Double]) =>
-      bcSkel.value.place(bcPivots.value.rankSensitive(Paa.of(series, params.paaW))))
-    val data = df
-      .withColumn("_p", placeUdf(col("series")))
-      .select(col("id"), col("series"), col("_p._1").as("group"), col("_p._2").as("part"))
-      .repartitionById(skeleton.numPartitions, col("part"))
-      .cache()
-    data.count() // force the re-distribution so timings are honest
+    val placeUdf = udf { (id: Long, series: Array[Double]) =>
+      val paa = Paa.of(series, params.paaW)
+      if (paa.exists(_.isNaN))
+        throw new IllegalArgumentException(s"series $id has a NaN in its PAA: NaN input cannot be indexed")
+      bcSkel.value.place(bcPivots.value.rankSensitive(paa))
+    }
+    val data = Dss.cacheByPart(df
+      .withColumn("_p", placeUdf(col("id"), col("series")))
+      .select(col("id"), col("series"), col("_p._1").as("group"), col("_p._2").as("part")),
+      skeleton.numPartitions)
     val t2 = System.nanoTime()
 
     val stats = BuildStats(

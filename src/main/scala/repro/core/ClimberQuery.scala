@@ -121,12 +121,8 @@ object ClimberQuery {
     * is rejected, and a row found in the wrong partition fails the scan.
     */
   def scanTopK(data: DataFrame, partCol: String, partitions: Array[Int],
-               query: Array[Double], k: Int): Seq[(Long, Double)] = {
-    val numPartitions = data.queryExecution.toRdd.getNumPartitions
-    partitions.find(p => p < 0 || p >= numPartitions).foreach(p =>
-      throw new IllegalArgumentException(s"partition $p outside [0, $numPartitions)"))
+               query: Array[Double], k: Int): Seq[(Long, Double)] =
     Dss.topK(data, Some(partCol), partitions.distinct.toSeq, Array(query), k).head
-  }
 
   /** End-to-end approximate kNN under a variant. */
   def knn(index: ClimberIndex, query: Array[Double], k: Int, variant: Variant,

@@ -83,9 +83,12 @@ object PivotSet {
 
 object Pivots {
 
-  /** Select `r` random pivots (with prefix length `m`) from the PAA vectors
-    * of a sample DataFrame with column `paaCol`: the `r` rows of smallest
-    * seeded hash of the vector's string form. Deterministic in `seed`.
+  /** Select up to `r` random pivots (with prefix length `m`) from the PAA
+    * vectors of a sample DataFrame with column `paaCol`: the distinct vectors
+    * among the `r` rows of smallest seeded hash of the vector's string form.
+    * Deterministic in `seed`. A repeated vector would only tie with itself
+    * on every distance, so the set keeps one copy and has fewer pivots, as
+    * it has for a sample smaller than `r`.
     *
     * The hash is projected as a column once per row before the top-r, so the
     * per-partition top-r and its merge compare longs; ordering by the
@@ -101,6 +104,10 @@ object Pivots {
       .collect()
       .map(_.getSeq[Double](0).toArray)
     require(rows.length > 0, "empty sample — cannot select pivots")
-    PivotSet(rows, prefixLen = math.min(m, rows.length))
+    // Equal vectors hash equally, so the copies of a vector are adjacent.
+    val distinct = rows.indices.collect {
+      case i if i == 0 || !java.util.Arrays.equals(rows(i), rows(i - 1)) => rows(i)
+    }.toArray
+    PivotSet(distinct, prefixLen = math.min(m, distinct.length))
   }
 }

@@ -3,6 +3,7 @@ package repro.isax
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.{ClimberIndex, Paa}
+import repro.scan.Dss
 
 /** Shared machinery for the two iSAX baselines (DPiSAX, TARDIS): both build
   * a tiny global structure from a sample of iSAX words, broadcast it, route
@@ -16,8 +17,8 @@ trait WordRouter extends Serializable {
 }
 
 /** A built baseline index: the router plus the re-distributed dataset with
-  * columns (id, series, part), cached one Spark partition per routed
-  * partition (Spark partition id = part).
+  * columns (id, series, part), cached by `Dss.cacheByPart` one Spark
+  * partition per routed partition (Spark partition id = part).
   */
 final case class BaselineIndex(
     name: String,
@@ -50,10 +51,8 @@ object BaselineCommon {
     val router = mkRouter(sampleWords)
     val bc = spark.sparkContext.broadcast(router)
     val routeUdf = udf { (xs: Array[Double]) => bc.value.route(wordOf(xs, paaW, bits)) }
-    val data = df.select(col("id"), col("series"), routeUdf(col("series")).as("part"))
-      .repartitionById(router.numPartitions, col("part"))
-      .cache()
-    data.count()
+    val data = Dss.cacheByPart(df.select(col("id"), col("series"), routeUdf(col("series")).as("part")),
+      router.numPartitions)
     val buildSec = (System.nanoTime() - t0) / 1e9
     BaselineIndex(name, paaW, bits, router, data, buildSec, ClimberIndex.serializedBytes(router))
   }

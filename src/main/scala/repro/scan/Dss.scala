@@ -8,6 +8,8 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.UnsafeArrayData
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
+import org.apache.spark.sql.functions.col
 import org.apache.spark.unsafe.Platform
 
 /** Distributed Sequential Scan (§VII-A): the brute-force exact kNN baseline
@@ -23,7 +25,7 @@ object Dss {
     * (distance, id) ordering so ties never make recall flaky.
     */
   def knn(data: DataFrame, query: Array[Double], k: Int): Seq[(Long, Double)] =
-    topK(data, None, allPartitions(data), Array(query), k).head
+    scan(data, None, None, Array(query), k).head
 
   /** Exact kNN for a batch of queries in a single pass over every
     * partition, with one top-K per query. Returns qid → top-K record ids
@@ -32,12 +34,29 @@ object Dss {
     */
   def knnBatch(@unused spark: SparkSession, data: DataFrame,
                queries: Seq[(Long, Array[Double])], k: Int): Map[Long, Seq[Long]] = {
-    val res = topK(data, None, allPartitions(data), queries.map(_._2).toArray, k)
+    val res = scan(data, None, None, queries.map(_._2).toArray, k)
     queries.map(_._1).zip(res.map(_.map(_._1))).toMap
   }
 
-  private def allPartitions(data: DataFrame): Seq[Int] =
-    0 until data.queryExecution.toRdd.getNumPartitions
+  /** Lay `df` (with an int column `part`) out one Spark partition per value
+    * of `part`, cache it and load the cache: `repartitionById` shuffles
+    * through Spark's exact partitioner, so Spark partition `p` holds exactly
+    * the rows with `part = p`. The cache's column-buffer RDD is
+    * `localCheckpoint`ed before its first job: it keeps its id, its
+    * MEMORY_AND_DISK blocks and its bytes, but not its lineage back through
+    * the shuffle, so the tasks `topK` runs on it ship only the buffer RDD. A
+    * lost block then fails the scan that needs it instead of recomputing the
+    * layout. One job over that RDD loads it; a `count()` of the DataFrame
+    * would add an aggregation over the loaded cache.
+    */
+  def cacheByPart(df: DataFrame, numPartitions: Int): DataFrame = {
+    val data = df.repartitionById(numPartitions, col("part")).cache()
+    try data.queryExecution.withCachedData match {
+      case r: InMemoryRelation => r.cacheBuilder.cachedColumnBuffers.localCheckpoint().count()
+      case other => throw new IllegalStateException(s"the layout is not read from its cache: $other")
+    } catch { case e: Throwable => data.unpersist(); throw e }
+    data
+  }
 
   /** The ED top-K kernel: one Spark job whose tasks run on `partitions` of
     * `data` (columns id: long, series: array<double>, …) only. Each task
@@ -46,8 +65,11 @@ object Dss {
     * stops at K. Returns, per query, its top-K (id, distance) pairs in
     * ascending (`java.lang.Double.compare` on distance, then id) order, so
     * NaN sorts last (and comes back as `Double.NaN`). When the partitions
-    * hold fewer than K rows, every row is returned.
+    * hold fewer than K rows, every row is returned. A partition id outside
+    * `data`'s partitions is rejected.
     *
+    * The rows come from [[rows]]: a cached DataFrame's column buffers are
+    * decoded directly, anything else is read through its SQL plan.
     * ED is read in place from a row's `UnsafeArrayData`, the form Spark's
     * cache and scans hand out; a series in any other `ArrayData` is copied
     * out first and gives the same bits. A stored series whose length differs
@@ -59,10 +81,55 @@ object Dss {
     * so a mis-laid-out DataFrame cannot silently answer from wrong rows.
     */
   def topK(data: DataFrame, partCol: Option[String], partitions: Seq[Int],
-           queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] = {
-    val schema = data.schema
-    rank(data.queryExecution.toRdd, new Rank(schema.fieldIndex("id"), schema.fieldIndex("series"),
-      partCol.map(schema.fieldIndex).getOrElse(-1), partCol.getOrElse(""), queries, k), partitions)
+           queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] =
+    scan(data, partCol, Some(partitions), queries, k)
+
+  /** `topK` on `partitions`, or on every partition when `None`. */
+  private def scan(data: DataFrame, partCol: Option[String], partitions: Option[Seq[Int]],
+                   queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] = {
+    val (rdd, idx) = rows(data, Seq("id", "series") ++ partCol)
+    val n = rdd.getNumPartitions
+    val parts = partitions.getOrElse(0 until n)
+    parts.find(p => p < 0 || p >= n).foreach(p =>
+      throw new IllegalArgumentException(s"partition $p outside [0, $n)"))
+    rank(rdd, new Rank(idx(0), idx(1), if (partCol.isDefined) idx(2) else -1, partCol.getOrElse(""),
+      queries, k), parts)
+  }
+
+  /** The rows of `data` for a scan, with the ordinals of `columns` in them.
+    * For a DataFrame that is cached as a whole and whose buffers are loaded,
+    * the cached column buffers decoded into just `columns`: the tasks then
+    * carry the buffer RDD's lineage, not the SQL scan plan and its cache
+    * builder. For any other DataFrame, its `queryExecution.toRdd`; for a
+    * cached one whose buffers are not loaded yet, that loads them.
+    *
+    * A DataFrame whose cache was dropped fails: reading it through its old
+    * plan would silently rebuild and re-persist the buffers.
+    */
+  private[scan] def rows(data: DataFrame, columns: Seq[String]): (RDD[InternalRow], Seq[Int]) = {
+    val qe = data.queryExecution
+    qe.withCachedData match {
+      case r: InMemoryRelation =>
+        val builder = r.cacheBuilder
+        // Both getters lock the builder; holding its lock makes the pair
+        // atomic against a concurrent unpersist.
+        val loaded = builder.synchronized {
+          if (builder.isCachedColumnBuffersLoaded) Some(builder.cachedColumnBuffers) else None
+        }
+        loaded match {
+          case Some(buffers) =>
+            val selected = columns.map(c => r.output(data.schema.fieldIndex(c)))
+            (builder.serializer.convertCachedBatchToInternalRow(buffers, r.output, selected,
+              qe.sparkSession.sessionState.conf), columns.indices)
+          case None =>
+            val cacheManager = qe.sparkSession.sharedState.cacheManager
+            if (!cacheManager.lookupCachedData(qe.sparkSession, qe.normalized)
+                .exists(_.cachedRepresentation.cacheBuilder eq builder))
+              throw new IllegalStateException("the DataFrame's cache was dropped (unpersisted)")
+            (qe.toRdd, columns.map(data.schema.fieldIndex))
+        }
+      case _ => (qe.toRdd, columns.map(data.schema.fieldIndex))
+    }
   }
 
   /** Run `task` on `partitions` of `rdd` and merge each query's runs. */

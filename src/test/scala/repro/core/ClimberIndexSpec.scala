@@ -137,10 +137,24 @@ class ClimberIndexSpec extends SparkSpec {
     val same = spark.range(0, 500, 1, 4).select(col("id"),
       udf((_: Long) => SeriesGen.local("RandomWalk", 0, 1)).apply(col("id")).as("series"))
     val si = ClimberIndex.build(spark, same, Workloads.benchParams.copy(capacity = 50))
+    assert(si.pivots.numPivots == 1)
     val parts = si.data.groupBy("part").count().collect().map(r => (r.getInt(0), r.getLong(1)))
     assert(parts.length == 1 && parts.head._2 == 500L)
     val res = ClimberQuery.knn(si, SeriesGen.local("RandomWalk", 0, 1), 10, ClimberQuery.Adaptive(4))
     assert(res.size == 10 && res.forall(_._2 == 0.0))
     si.data.unpersist()
+  }
+
+  test("a series whose PAA holds a NaN fails the build loudly") {
+    val nanId = 17L
+    val withNan = spark.range(0, 300, 1, 4).select(col("id"), udf { (id: Long) =>
+      val s = SeriesGen.local("RandomWalk", id, 1)
+      if (id == nanId) s(40) = Double.NaN
+      s
+    }.apply(col("id")).as("series"))
+    val e = intercept[Exception](ClimberIndex.build(spark, withNan, Workloads.benchParams.copy(capacity = 50)))
+    val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toSeq
+    assert(causes.exists(c => c.isInstanceOf[IllegalArgumentException] &&
+      c.getMessage.contains(s"series $nanId has a NaN in its PAA")), causes.map(_.toString).mkString("\n"))
   }
 }
