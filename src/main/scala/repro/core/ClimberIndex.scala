@@ -105,8 +105,12 @@ object ClimberIndex {
     val bcSkel = spark.sparkContext.broadcast(skeleton)
     val placeUdf = udf { (id: Long, series: Array[Double]) =>
       val paa = Paa.of(series, params.paaW)
-      if (paa.exists(_.isNaN))
-        throw new IllegalArgumentException(s"series $id has a NaN in its PAA: NaN input cannot be indexed")
+      var i = 0
+      while (i < paa.length) {
+        if (paa(i).isNaN)
+          throw new IllegalArgumentException(s"series $id has a NaN in its PAA: NaN input cannot be indexed")
+        i += 1
+      }
       bcSkel.value.place(bcPivots.value.rankSensitive(paa))
     }
     val data = Dss.cacheByPart(df

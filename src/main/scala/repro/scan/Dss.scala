@@ -97,37 +97,34 @@ object Dss {
   }
 
   /** The rows of `data` for a scan, with the ordinals of `columns` in them.
-    * For a DataFrame that is cached as a whole and whose buffers are loaded,
-    * the cached column buffers decoded into just `columns`: the tasks then
-    * carry the buffer RDD's lineage, not the SQL scan plan and its cache
-    * builder. For any other DataFrame, its `queryExecution.toRdd`; for a
-    * cached one whose buffers are not loaded yet, that loads them.
+    * For a DataFrame that is cached as a whole, its cached column buffers
+    * decoded into just `columns`: the tasks then carry the buffer RDD, not
+    * the SQL scan plan and its cache builder. Buffers not loaded yet are
+    * loaded by the scan, partition by partition, as a plan over the cache
+    * would load them. Any other DataFrame is read through its
+    * `queryExecution.toRdd`.
     *
-    * A DataFrame whose cache was dropped fails: reading it through its old
-    * plan would silently rebuild and re-persist the buffers.
+    * A DataFrame whose cache was dropped fails: reading it would silently
+    * rebuild and re-persist the buffers.
     */
   private[scan] def rows(data: DataFrame, columns: Seq[String]): (RDD[InternalRow], Seq[Int]) = {
     val qe = data.queryExecution
     qe.withCachedData match {
       case r: InMemoryRelation =>
         val builder = r.cacheBuilder
-        // Both getters lock the builder; holding its lock makes the pair
-        // atomic against a concurrent unpersist.
-        val loaded = builder.synchronized {
-          if (builder.isCachedColumnBuffersLoaded) Some(builder.cachedColumnBuffers) else None
+        val session = qe.sparkSession
+        // Loaded buffers belong to a live cache. Otherwise the cache manager
+        // must still hold this builder. The check and the getter hold the
+        // builder's lock, so an unpersist cannot come between them.
+        val buffers = builder.synchronized {
+          if (!builder.isCachedColumnBuffersLoaded && !session.sharedState.cacheManager
+              .lookupCachedData(session, qe.normalized).exists(_.cachedRepresentation.cacheBuilder eq builder))
+            throw new IllegalStateException("the DataFrame's cache was dropped (unpersisted)")
+          builder.cachedColumnBuffers
         }
-        loaded match {
-          case Some(buffers) =>
-            val selected = columns.map(c => r.output(data.schema.fieldIndex(c)))
-            (builder.serializer.convertCachedBatchToInternalRow(buffers, r.output, selected,
-              qe.sparkSession.sessionState.conf), columns.indices)
-          case None =>
-            val cacheManager = qe.sparkSession.sharedState.cacheManager
-            if (!cacheManager.lookupCachedData(qe.sparkSession, qe.normalized)
-                .exists(_.cachedRepresentation.cacheBuilder eq builder))
-              throw new IllegalStateException("the DataFrame's cache was dropped (unpersisted)")
-            (qe.toRdd, columns.map(data.schema.fieldIndex))
-        }
+        val selected = columns.map(c => r.output(data.schema.fieldIndex(c)))
+        (builder.serializer.convertCachedBatchToInternalRow(buffers, r.output, selected,
+          session.sessionState.conf), columns.indices)
       case _ => (qe.toRdd, columns.map(data.schema.fieldIndex))
     }
   }

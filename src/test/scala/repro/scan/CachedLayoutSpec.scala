@@ -20,13 +20,15 @@ class CachedLayoutSpec extends SparkSpec {
   private lazy val index = ClimberIndex.build(spark, df, params)
   private val columns = Seq("id", "series", "part")
 
-  /** The cached column buffers of a DataFrame cached as a whole. Call it
-    * only while they are loaded: on a dropped cache the getter rebuilds them.
-    */
-  private def buffers(data: DataFrame): RDD[CachedBatch] = data.queryExecution.withCachedData match {
-    case r: InMemoryRelation => r.cacheBuilder.cachedColumnBuffers
+  private def builder(data: DataFrame) = data.queryExecution.withCachedData match {
+    case r: InMemoryRelation => r.cacheBuilder
     case other => fail(s"not cached as a whole: $other")
   }
+
+  /** The cached column buffers of a DataFrame cached as a whole. Call it
+    * only while the cache is live: on a dropped cache the getter rebuilds them.
+    */
+  private def buffers(data: DataFrame): RDD[CachedBatch] = builder(data).cachedColumnBuffers
 
   private def bits(got: Seq[(Long, Double)]): Seq[(Long, Long)] =
     got.map { case (id, d) => (id, java.lang.Double.doubleToLongBits(d)) }
@@ -93,17 +95,21 @@ class CachedLayoutSpec extends SparkSpec {
     assert(sc.getPersistentRDDs.keySet.toSet == persisted)
   }
 
-  test("a cache not loaded yet is read through its plan, which loads it") {
+  test("a cache not loaded yet is decoded directly, and the scan loads it") {
     val fresh = SeriesGen.generate(spark, "RandomWalk", 300, seed = 4).cache()
     try {
+      assert(!builder(fresh).isCachedColumnBuffersLoaded)
       val q = SeriesGen.local("RandomWalk", 11L, 4)
-      val (first, _) = Dss.rows(fresh, Seq("id", "series"))
-      assert(first eq fresh.queryExecution.toRdd)
-      val got = Dss.knn(fresh, q, 20)
-      assert(got.head == ((11L, 0.0)))
       val (direct, _) = Dss.rows(fresh, Seq("id", "series"))
       assert(direct.dependencies.map(_.rdd) == Seq(buffers(fresh)))
-      assert(bits(Dss.knn(fresh, q, 20)) == bits(got))
+      val got = Dss.knn(fresh, q, 20)
+      assert(got.head == ((11L, 0.0)))
+      assert(builder(fresh).isCachedColumnBuffersLoaded)
+      val plan = fresh.queryExecution.toRdd
+      val s = fresh.schema
+      val viaToRdd = Dss.rank(plan, new Dss.Rank(s.fieldIndex("id"), s.fieldIndex("series"), -1, "",
+        Array(q), 20), 0 until plan.getNumPartitions).head
+      assert(bits(got) == bits(viaToRdd))
     } finally fresh.unpersist()
   }
 }
