@@ -26,9 +26,11 @@ final case class ClimberParams(
   val maxCentroids: Int = Int.MaxValue
 }
 
-/** Wall-clock breakdown of index construction (Figure 10(a) phases). The
-  * last three fields split `skeletonSec`; what they leave out of it (the
-  * driver-side P⁴⇉ fold, unpersisting the sample) is small.
+/** Wall-clock breakdown of index construction (Figure 10(a) phases) and
+  * the layout's partition sizes. `pivotsSec`, `aggregateSec` and
+  * `skeletonBuildSec` split `skeletonSec`; what they leave out of it (the
+  * driver-side P⁴⇉ fold, unpersisting the sample) is small. The last three
+  * fields come from the index's `partRows`.
   */
 final case class BuildStats(
     skeletonSec: Double, // Steps 1-3: sampling + signatures + skeleton
@@ -40,13 +42,17 @@ final case class BuildStats(
     pivotsSec: Double, // Steps 1-2: sample materialization + pivot pick
     aggregateSec: Double, // Step 2: the P⁴→ group-by and its collect
     skeletonBuildSec: Double, // Step 3: Algorithm 2 + tries + FFD packing
+    overflowParts: Int, // partitions holding more than the capacity c
+    maxPartRows: Long,
+    g0Rows: Long, // rows in the fall-back group G₀'s partitions
 )
 
 /** A fully built CLIMBER index: the broadcastable skeleton, the pivot set,
   * and the re-distributed dataset with columns
   * (id: long, series: array<double>, group: int, part: int),
   * cached by `Dss.cacheByPart` with one Spark partition per CLIMBER
-  * partition: Spark partition `p` holds exactly the rows with `part = p`.
+  * partition: Spark partition `p` holds exactly the rows with `part = p`,
+  * `partRows(p)` of them.
   */
 final case class ClimberIndex(
     params: ClimberParams,
@@ -54,6 +60,7 @@ final case class ClimberIndex(
     skeleton: IndexSkeleton,
     data: DataFrame,
     stats: BuildStats,
+    partRows: Array[Long],
 )
 
 object ClimberIndex {
@@ -113,7 +120,7 @@ object ClimberIndex {
       }
       bcSkel.value.place(bcPivots.value.rankSensitive(paa))
     }
-    val data = Dss.cacheByPart(df
+    val (data, partRows) = Dss.cacheByPart(df
       .withColumn("_p", placeUdf(col("id"), col("series")))
       .select(col("id"), col("series"), col("_p._1").as("group"), col("_p._2").as("part")),
       skeleton.numPartitions)
@@ -129,7 +136,10 @@ object ClimberIndex {
       pivotsSec = (tPivots - t0) / 1e9,
       aggregateSec = (tAggregate - tPivots) / 1e9,
       skeletonBuildSec = (t1 - tSkeleton) / 1e9,
+      overflowParts = partRows.count(_ > params.capacity),
+      maxPartRows = partRows.max,
+      g0Rows = skeleton.groups(0).root.partitions.map(partRows(_)).sum,
     )
-    ClimberIndex(params, pivots, skeleton, data, stats)
+    ClimberIndex(params, pivots, skeleton, data, stats, partRows)
   }
 }

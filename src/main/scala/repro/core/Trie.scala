@@ -9,8 +9,8 @@ import scala.collection.mutable
   * A node at depth `d` covers every member of the group whose rank-sensitive
   * signature matches the root-to-node pivot path in its first `d` positions.
   * A node whose (estimated) size exceeds the capacity `c` is split by the
-  * members' next pivot; splitting stops when the node fits, when the prefix
-  * is exhausted, or when all members share the remaining path.
+  * members' next pivot; splitting stops when the node fits or the prefix is
+  * exhausted.
   */
 final case class TrieNode(
     depth: Int,
@@ -39,40 +39,6 @@ final case class TrieNode(
 
 object Trie {
 
-  /** Mutable build node. */
-  private final class BNode(val depth: Int) {
-    var size: Long = 0L
-    val members = mutable.ArrayBuffer[(Array[Int], Long)]() // (rs sig, est count)
-    val children = mutable.LinkedHashMap[Int, BNode]()
-    var partition: Int = -1
-  }
-
-  /** Build the trie of one group from its sampled rank-sensitive signatures
-    * with estimated (full-scale) counts, splitting nodes larger than
-    * `capacity`.
-    */
-  private def buildMutable(sigs: Seq[(Array[Int], Long)], capacity: Long): BNode = {
-    val root = new BNode(0)
-    root.members ++= sigs
-    root.size = sigs.map(_._2).sum
-    def split(node: BNode): Unit = {
-      if (node.size <= capacity || node.depth >= sigs.headOption.map(_._1.length).getOrElse(0))
-        return
-      val byPivot = node.members.groupBy { case (sig, _) => sig(node.depth) }
-      if (byPivot.isEmpty) return
-      for ((p, mem) <- byPivot.toSeq.sortBy(_._1)) {
-        val c = new BNode(node.depth + 1)
-        c.members ++= mem
-        c.size = mem.map(_._2).sum
-        node.children(p) = c
-        split(c)
-      }
-      node.members.clear() // members now live in the children
-    }
-    split(root)
-    root
-  }
-
   /** First-Fit-Decreasing bin packing (Def. 13): leaves sorted by
     * decreasing size, each placed into the first open partition with room;
     * a leaf larger than the capacity gets its own partition. Returns, per
@@ -93,24 +59,36 @@ object Trie {
     (assign, occ.toArray)
   }
 
-  /** Frozen trie of one group: (root, localPartitionOccupancies).
-    * `partitionBase` is the global id of this group's first partition.
+  /** The trie of one group and its local partition occupancies, from the
+    * group's sampled P⁴→ signatures with estimated (full-scale) counts: one
+    * split with children in ascending pivot order, FFD over the leaves
+    * numbered depth-first in that order, and the leaves' partitions offset
+    * by `partitionBase`, the global id of the group's first partition.
     */
   def build(sigs: Seq[(Array[Int], Long)], capacity: Long,
             partitionBase: Int): (TrieNode, Array[Long]) = {
-    val root = buildMutable(sigs, capacity)
-    def leavesOf(n: BNode): Seq[BNode] =
-      if (n.children.isEmpty) Seq(n) else n.children.values.toSeq.flatMap(leavesOf)
-    val leaves = leavesOf(root)
-    val (assign, occ) = packFfd(leaves.map(_.size), capacity)
-    leaves.zipWithIndex.foreach { case (leaf, i) => leaf.partition = partitionBase + assign(i) }
-    def freeze(n: BNode): TrieNode = {
-      val kids = n.children.toSeq.map { case (p, c) => p -> freeze(c) }.toMap
-      val parts: Array[Int] =
-        if (n.children.isEmpty) Array(n.partition)
-        else kids.values.flatMap(_.partitions).toArray.distinct.sorted
-      TrieNode(n.depth, n.size, kids, parts)
+    val prefixLen = sigs.headOption.fold(0)(_._1.length)
+    val leafSizes = mutable.ArrayBuffer[Long]()
+    // A leaf holds its depth-first number until the packing is known.
+    def split(members: Seq[(Array[Int], Long)], depth: Int): TrieNode = {
+      val size = members.map(_._2).sum
+      if (size <= capacity || depth >= prefixLen) {
+        leafSizes += size
+        TrieNode(depth, size, Map.empty, Array(leafSizes.size - 1))
+      } else {
+        val kids = members.groupBy(_._1(depth)).toSeq.sortBy(_._1)
+          .map { case (p, mem) => p -> split(mem, depth + 1) }
+        TrieNode(depth, size, kids.toMap, Array.empty)
+      }
     }
-    (freeze(root), occ)
+    val numbered = split(sigs, 0)
+    val (assign, occ) = packFfd(leafSizes.toSeq, capacity)
+    def place(n: TrieNode): TrieNode =
+      if (n.isLeaf) n.copy(partitions = Array(partitionBase + assign(n.partitions(0))))
+      else {
+        val kids = n.children.map { case (p, c) => p -> place(c) }
+        n.copy(children = kids, partitions = kids.values.flatMap(_.partitions).toArray.distinct.sorted)
+      }
+    (place(numbered), occ)
   }
 }

@@ -36,12 +36,11 @@ object Ablation {
   def runOdSmallest(spark: SparkSession): Seq[OdRow] =
     Workloads.withDataset(spark, "RandomWalk", SizeGb, Workloads.K) { w =>
       val index = ClimberIndex.build(spark, w.df, Workloads.benchParams)
-      val sizes = Workloads.partSizes(index.data)
 
       val variants = Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(2), ClimberQuery.Adaptive(4),
         ClimberQuery.OdSmallest)
       val measured = variants.map(v => v.label -> Workloads.measure(w.queries, w.truth)(
-        Workloads.climberRun(index, sizes, Workloads.K, v)))
+        Workloads.climberRun(index, Workloads.K, v)))
       val od = measured.last._2
       val rows = measured.map { case (name, m) =>
         OdRow(name, m.rowsScanned, m.recall, od.rowsScanned / m.rowsScanned, od.recall / m.recall)
@@ -56,8 +55,8 @@ object Ablation {
       PrefixLens.map { m =>
         val params = Workloads.benchParams.copy(prefixLen = m)
         val (index, ict) = Workloads.timed(ClimberIndex.build(spark, w.df, params))
-        val q = Workloads.measure(w.queries, w.truth)(Workloads.climberRun(index,
-          Workloads.partSizes(index.data), Workloads.K, ClimberQuery.Adaptive(4)))
+        val q = Workloads.measure(w.queries, w.truth)(
+          Workloads.climberRun(index, Workloads.K, ClimberQuery.Adaptive(4)))
         val row = PrefixRow(m, ict, index.stats.skeletonBytes / 1024.0, q.qrtSec, q.recall)
         index.data.unpersist()
         row

@@ -35,16 +35,12 @@ object FigNine {
       val tardis = Tardis.index(spark, w.df, p.capacity, alpha = p.alpha)
       val climber = ClimberIndex.build(spark, w.df, p)
 
-      val dpSizes = Workloads.partSizes(dpisax.data)
-      val tdSizes = Workloads.partSizes(tardis.data)
-      val clSizes = Workloads.partSizes(climber.data)
-
       val variants = Seq(
         "Dss" -> (Workloads.dssRun(w.df, w.n, _: Int)),
-        "DPiSAX" -> (Workloads.baselineRun(dpisax, dpSizes, _: Int)),
-        "TARDIS" -> (Workloads.baselineRun(tardis, tdSizes, _: Int)),
+        "DPiSAX" -> (Workloads.baselineRun(dpisax, _: Int)),
+        "TARDIS" -> (Workloads.baselineRun(tardis, _: Int)),
       ) ++ Seq(ClimberQuery.Knn, ClimberQuery.Adaptive(2), ClimberQuery.Adaptive(4)).map(v =>
-        v.label -> (Workloads.climberRun(climber, clSizes, _: Int, v)))
+        v.label -> (Workloads.climberRun(climber, _: Int, v)))
 
       val rows = for (k <- Ks; (name, run) <- variants) yield {
         val timedQs = if (name == "Dss") w.queries.take(DssTimedQueries) else w.queries

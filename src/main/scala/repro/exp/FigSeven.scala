@@ -39,16 +39,15 @@ object FigSeven {
       val baselineRows = Seq(
           "DPiSAX" -> DpiSax.index(spark, w.df, p.capacity, alpha = p.alpha),
           "TARDIS" -> Tardis.index(spark, w.df, p.capacity, alpha = p.alpha)).map { case (name, bi) =>
-        val m = Workloads.measure(w.queries, w.truth)(
-          Workloads.baselineRun(bi, Workloads.partSizes(bi.data), k))
+        val m = Workloads.measure(w.queries, w.truth)(Workloads.baselineRun(bi, k))
         bi.data.unpersist()
         Row(ds, name, m.qrtSec, m.recall, m.rowsScanned, bi.buildSec, bi.indexBytes / 1024.0)
       }
 
       // CLIMBER default variation (Adaptive-4X).
       val (index, ict) = Workloads.timed(ClimberIndex.build(spark, w.df, p))
-      val m = Workloads.measure(w.queries, w.truth)(Workloads.climberRun(index,
-        Workloads.partSizes(index.data), k, ClimberQuery.Adaptive(4)))
+      val m = Workloads.measure(w.queries, w.truth)(
+        Workloads.climberRun(index, k, ClimberQuery.Adaptive(4)))
       index.data.unpersist()
       dssRow +: baselineRows :+
         Row(ds, "CLIMBER", m.qrtSec, m.recall, m.rowsScanned, ict, index.stats.skeletonBytes / 1024.0)

@@ -35,8 +35,7 @@ object TableOne {
 
       // CLIMBER (default variation Adaptive-4X, §VII-A).
       val (index, ict) = Workloads.timed(ClimberIndex.build(spark, w.df, p))
-      val cl = score(Workloads.climberRun(index, Workloads.partSizes(index.data), k,
-        ClimberQuery.Adaptive(4)))
+      val cl = score(Workloads.climberRun(index, k, ClimberQuery.Adaptive(4)))
       index.data.unpersist()
 
       // An in-memory system: "X" when its build refuses the dataset for its

@@ -55,10 +55,12 @@ object Workloads {
     } finally df.unpersist()
   }
 
-  /** Cached DataFrame of `n` series of the named dataset. */
+  /** Cached DataFrame of `n` series of the named dataset, loaded by one
+    * job over its cache's buffers.
+    */
   def dataset(spark: SparkSession, name: String, n: Long): DataFrame = {
     val df = SeriesGen.generate(spark, name, n, DataSeed).cache()
-    df.count()
+    Dss.buffers(df).count()
     df
   }
 
@@ -85,28 +87,23 @@ object Workloads {
     rs.sum / rs.size
   }
 
-  /** Rows per partition of an index's `data` (column `part`). */
-  def partSizes(data: DataFrame): Map[Int, Long] =
-    data.groupBy("part").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
-
   /** One query of a system under test: (qid, query) → (result ids, rows scanned). */
   type Run = (Long, Array[Double]) => (Seq[Long], Long)
 
   /** CLIMBER under `variant`: plan, then ED-rank the planned partitions. */
-  def climberRun(index: ClimberIndex, sizes: Map[Int, Long], k: Int,
-                 variant: ClimberQuery.Variant): Run = { (qid, q) =>
+  def climberRun(index: ClimberIndex, k: Int, variant: ClimberQuery.Variant): Run = { (qid, q) =>
     val plan = ClimberQuery.planFor(index, q, k, variant, qid)
     (ClimberQuery.scanTopK(index.data, "part", plan.partitions, q, k).map(_._1),
-      plan.partitions.map(sizes.getOrElse(_, 0L)).sum)
+      plan.partitions.map(index.partRows(_)).sum)
   }
 
   /** Dss: exact by construction; every query scans all `n` rows of `df`. */
   def dssRun(df: DataFrame, n: Long, k: Int): Run = (_, q) => (Dss.knn(df, q, k).map(_._1), n)
 
   /** A one-partition iSAX baseline (DPiSAX, TARDIS). */
-  def baselineRun(bi: BaselineIndex, sizes: Map[Int, Long], k: Int): Run = { (_, q) =>
+  def baselineRun(bi: BaselineIndex, k: Int): Run = { (_, q) =>
     val part = bi.router.route(BaselineCommon.wordOf(q, bi.paaW, bi.bits))
-    (BaselineCommon.knn(bi, q, k).map(_._1), sizes.getOrElse(part, 0L))
+    (BaselineCommon.knn(bi, q, k).map(_._1), bi.partRows(part))
   }
 
   /** Means of one system over a query set. */

@@ -18,7 +18,8 @@ trait WordRouter extends Serializable {
 
 /** A built baseline index: the router plus the re-distributed dataset with
   * columns (id, series, part), cached by `Dss.cacheByPart` one Spark
-  * partition per routed partition (Spark partition id = part).
+  * partition per routed partition (Spark partition id = part), and the rows
+  * of each partition.
   */
 final case class BaselineIndex(
     name: String,
@@ -28,6 +29,7 @@ final case class BaselineIndex(
     data: DataFrame,
     buildSec: Double,
     indexBytes: Long,
+    partRows: Array[Long],
 )
 
 object BaselineCommon {
@@ -51,10 +53,11 @@ object BaselineCommon {
     val router = mkRouter(sampleWords)
     val bc = spark.sparkContext.broadcast(router)
     val routeUdf = udf { (xs: Array[Double]) => bc.value.route(wordOf(xs, paaW, bits)) }
-    val data = Dss.cacheByPart(df.select(col("id"), col("series"), routeUdf(col("series")).as("part")),
-      router.numPartitions)
+    val (data, partRows) = Dss.cacheByPart(
+      df.select(col("id"), col("series"), routeUdf(col("series")).as("part")), router.numPartitions)
     val buildSec = (System.nanoTime() - t0) / 1e9
-    BaselineIndex(name, paaW, bits, router, data, buildSec, ClimberIndex.serializedBytes(router))
+    BaselineIndex(name, paaW, bits, router, data, buildSec, ClimberIndex.serializedBytes(router),
+      partRows)
   }
 
   /** Approximate kNN: route the query to its single partition and ED-rank

@@ -62,14 +62,7 @@ object OdysseySim {
     * when the dataset would not fit the simulated cluster RAM.
     */
   def build(data: DataFrame, nSeries: Long, budgetSeries: Long,
-            paaW: Int = 32): Either[String, OdysseySim] = {
-    if (nSeries > budgetSeries)
-      Left(s"dataset of $nSeries series exceeds the memory budget of $budgetSeries")
-    else {
-      val rows = data.select("id", "series").collect()
-      val ids = rows.map(_.getLong(0))
-      val ser = rows.map(_.getSeq[Double](1).toArray)
-      Right(new OdysseySim(ids, ser, paaW))
-    }
-  }
+            paaW: Int = 32): Either[String, OdysseySim] =
+    InMemory.load(data, nSeries, budgetSeries, "memory budget")
+      .map { case (ids, series) => new OdysseySim(ids, series, paaW) }
 }

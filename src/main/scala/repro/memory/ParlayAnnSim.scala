@@ -23,16 +23,10 @@ object ParlayAnnSim {
   def build(data: DataFrame, nSeries: Long, budgetSeries: Long, m: Int = 16,
             efConstruction: Int = 100, efSearch: Int = 600,
             threads: Int = Runtime.getRuntime.availableProcessors(),
-            seed: Long = 1): Either[String, ParlayAnnSim] = {
-    if (nSeries > budgetSeries)
-      Left(s"dataset of $nSeries series exceeds the single-node budget of $budgetSeries")
-    else {
-      val rows = data.select("id", "series").collect()
-      val ids = rows.map(_.getLong(0))
-      val pts = rows.map(_.getSeq[Double](1).toArray)
+            seed: Long = 1): Either[String, ParlayAnnSim] =
+    InMemory.load(data, nSeries, budgetSeries, "single-node budget").map { case (ids, pts) =>
       val g = new Hnsw(pts, m, efConstruction, seed)
       g.build(threads)
-      Right(new ParlayAnnSim(ids, g, efSearch))
+      new ParlayAnnSim(ids, g, efSearch)
     }
-  }
 }

@@ -8,6 +8,7 @@ import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.UnsafeArrayData
+import org.apache.spark.sql.columnar.CachedBatch
 import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions.col
 import org.apache.spark.unsafe.Platform
@@ -39,23 +40,31 @@ object Dss {
   }
 
   /** Lay `df` (with an int column `part`) out one Spark partition per value
-    * of `part`, cache it and load the cache: `repartitionById` shuffles
-    * through Spark's exact partitioner, so Spark partition `p` holds exactly
-    * the rows with `part = p`. The cache's column-buffer RDD is
-    * `localCheckpoint`ed before its first job: it keeps its id, its
-    * MEMORY_AND_DISK blocks and its bytes, but not its lineage back through
-    * the shuffle, so the tasks `topK` runs on it ship only the buffer RDD. A
-    * lost block then fails the scan that needs it instead of recomputing the
-    * layout. One job over that RDD loads it; a `count()` of the DataFrame
-    * would add an aggregation over the loaded cache.
+    * of `part`, cache it and load the cache. Returns the cached layout and
+    * the rows of each of its `numPartitions` partitions. `repartitionById`
+    * shuffles through Spark's exact partitioner, so Spark partition `p`
+    * holds exactly the rows with `part = p`. The cache's [[buffers]] are
+    * `localCheckpoint`ed before their first job: they keep their id, their
+    * MEMORY_AND_DISK blocks and their bytes, but not their lineage back
+    * through the shuffle, so the tasks `topK` runs on them ship only the
+    * buffer RDD. A lost block then fails the scan that needs it instead of
+    * recomputing the layout. One job over the buffers loads them and sums
+    * each partition's batch sizes.
     */
-  def cacheByPart(df: DataFrame, numPartitions: Int): DataFrame = {
+  def cacheByPart(df: DataFrame, numPartitions: Int): (DataFrame, Array[Long]) = {
     val data = df.repartitionById(numPartitions, col("part")).cache()
-    try data.queryExecution.withCachedData match {
-      case r: InMemoryRelation => r.cacheBuilder.cachedColumnBuffers.localCheckpoint().count()
-      case other => throw new IllegalStateException(s"the layout is not read from its cache: $other")
-    } catch { case e: Throwable => data.unpersist(); throw e }
-    data
+    try (data, buffers(data).localCheckpoint()
+      .mapPartitions(batches => Iterator(batches.map(_.numRows.toLong).sum)).collect())
+    catch { case e: Throwable => data.unpersist(); throw e }
+  }
+
+  /** The column-buffer RDD of `df`'s cache. A job over it loads the cache
+    * without the aggregation a DataFrame `count()` adds. Fails when `df` is
+    * not read from a cache.
+    */
+  def buffers(df: DataFrame): RDD[CachedBatch] = df.queryExecution.withCachedData match {
+    case r: InMemoryRelation => r.cacheBuilder.cachedColumnBuffers
+    case other => throw new IllegalStateException(s"the DataFrame is not read from its cache: $other")
   }
 
   /** The ED top-K kernel: one Spark job whose tasks run on `partitions` of

@@ -85,6 +85,20 @@ class ClimberIndexSpec extends SparkSpec {
     assert(sizes.max <= params.capacity * 6, s"max partition ${sizes.max}")
   }
 
+  test("partRows counts every partition's rows, and the layout stats come from it") {
+    val counted = index.data.groupBy("part").count().collect().map(r => r.getInt(0) -> r.getLong(1)).toMap
+    val rows = index.partRows
+    assert(rows.length == index.skeleton.numPartitions)
+    assert(rows.indices.forall(p => rows(p) == counted.getOrElse(p, 0L)))
+    assert(rows.sum == 2000)
+    val s = index.stats
+    assert(s.overflowParts == counted.values.count(_ > params.capacity))
+    assert(s.maxPartRows == counted.values.max)
+    val g0 = index.skeleton.groups(0).root.partitions.toSet
+    assert(s.g0Rows == index.data.filter(col("part").isin(g0.toSeq: _*)).count())
+    assert(s.g0Rows == index.data.filter(col("group") === 0).count())
+  }
+
   test("build stats are populated and consistent") {
     val s = index.stats
     assert(s.totalSec >= s.skeletonSec && s.totalSec >= s.redistributeSec)

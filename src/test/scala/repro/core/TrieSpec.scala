@@ -1,5 +1,8 @@
 package repro.core
 
+import scala.collection.mutable
+
+import org.scalacheck.{Gen, Prop, Test => SCTest}
 import repro.SparkSpec
 
 class TrieSpec extends SparkSpec {
@@ -158,5 +161,99 @@ class TrieSpec extends SparkSpec {
     val (root, _) = Trie.build(sigs, 100L, 0)
     // 120 > 100 → split by pivot 1, then 2, then 3; both members stay together.
     assert(root.navigate(sig(1, 2, 3)).size == 120L)
+  }
+
+  // ---------------- the one-pass build against the two-pass reference ----------------
+
+  /** Random groups: one prefix length in 1–4, pivots 0–5 (so prefixes are
+    * shared), counts at, around and far from the capacity (so leaf sizes
+    * tie and FFD's order among equal leaves matters), a random base.
+    */
+  private val groups: Gen[(Seq[(Array[Int], Long)], Long, Int)] = for {
+    len <- Gen.choose(1, 4)
+    capacity <- Gen.choose(2L, 20L)
+    n <- Gen.choose(0, 40)
+    sigs <- Gen.listOfN(n, for {
+      pivots <- Gen.pick(len, 0 to 5)
+      shuffle <- Gen.long
+      count <- Gen.oneOf(Gen.oneOf(1L, capacity / 2, capacity, capacity + 1, 2 * capacity),
+        Gen.choose(1L, 3 * capacity))
+    } yield (new scala.util.Random(shuffle).shuffle(pivots.toSeq).toArray, count))
+    base <- Gen.choose(0, 1000)
+  } yield (sigs, capacity, base)
+
+  private def sameTree(a: TrieNode, b: TrieNode): Boolean =
+    a.depth == b.depth && a.size == b.size && a.partitions.sameElements(b.partitions) &&
+      a.children.keys.toSeq == b.children.keys.toSeq &&
+      a.children.keys.forall(p => sameTree(a.children(p), b.children(p)))
+
+  private def bytes(o: AnyRef): Seq[Byte] = {
+    val bos = new java.io.ByteArrayOutputStream()
+    val oos = new java.io.ObjectOutputStream(bos)
+    oos.writeObject(o); oos.close()
+    bos.toByteArray.toSeq
+  }
+
+  test("the one-pass build gives the reference build's trie, partitions and occupancies") {
+    val res = SCTest.check(SCTest.Parameters.default.withMinSuccessfulTests(300),
+      Prop.forAllNoShrink(groups) { case (sigs, capacity, base) =>
+        val (root, occ) = Trie.build(sigs, capacity, base)
+        val (refRoot, refOcc) = TrieSpec.referenceBuild(sigs, capacity, base)
+        sameTree(root, refRoot) && occ.sameElements(refOcc) && bytes(root) == bytes(refRoot)
+      })
+    assert(res.passed, res.status.toString)
+  }
+}
+
+object TrieSpec {
+
+  /** The earlier two-pass build, kept as the reference: a mutable tree,
+    * its leaves packed in the order the tree yields them, then frozen.
+    */
+  private final class BNode(val depth: Int) {
+    var size: Long = 0L
+    val members = mutable.ArrayBuffer[(Array[Int], Long)]() // (rs sig, est count)
+    val children = mutable.LinkedHashMap[Int, BNode]()
+    var partition: Int = -1
+  }
+
+  private def buildMutable(sigs: Seq[(Array[Int], Long)], capacity: Long): BNode = {
+    val root = new BNode(0)
+    root.members ++= sigs
+    root.size = sigs.map(_._2).sum
+    def split(node: BNode): Unit = {
+      if (node.size <= capacity || node.depth >= sigs.headOption.map(_._1.length).getOrElse(0))
+        return
+      val byPivot = node.members.groupBy { case (sig, _) => sig(node.depth) }
+      if (byPivot.isEmpty) return
+      for ((p, mem) <- byPivot.toSeq.sortBy(_._1)) {
+        val c = new BNode(node.depth + 1)
+        c.members ++= mem
+        c.size = mem.map(_._2).sum
+        node.children(p) = c
+        split(c)
+      }
+      node.members.clear() // members now live in the children
+    }
+    split(root)
+    root
+  }
+
+  def referenceBuild(sigs: Seq[(Array[Int], Long)], capacity: Long,
+                     partitionBase: Int): (TrieNode, Array[Long]) = {
+    val root = buildMutable(sigs, capacity)
+    def leavesOf(n: BNode): Seq[BNode] =
+      if (n.children.isEmpty) Seq(n) else n.children.values.toSeq.flatMap(leavesOf)
+    val leaves = leavesOf(root)
+    val (assign, occ) = Trie.packFfd(leaves.map(_.size), capacity)
+    leaves.zipWithIndex.foreach { case (leaf, i) => leaf.partition = partitionBase + assign(i) }
+    def freeze(n: BNode): TrieNode = {
+      val kids = n.children.toSeq.map { case (p, c) => p -> freeze(c) }.toMap
+      val parts: Array[Int] =
+        if (n.children.isEmpty) Array(n.partition)
+        else kids.values.flatMap(_.partitions).toArray.distinct.sorted
+      TrieNode(n.depth, n.size, kids, parts)
+    }
+    (freeze(root), occ)
   }
 }

@@ -1,6 +1,7 @@
 package repro.exp
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.scan.Dss
@@ -83,6 +84,9 @@ class WorkloadsSpec extends SparkSpec {
 
   test("dataset materialisation counts and caches the rows") {
     val df = Workloads.dataset(spark, "DNA", 100)
+    // Loaded by `dataset` itself, before any query of the DataFrame.
+    assert(df.queryExecution.withCachedData.asInstanceOf[InMemoryRelation].cacheBuilder
+      .isCachedColumnBuffersLoaded)
     assert(df.count() == 100)
     assert(df.storageLevel.useMemory)
     df.unpersist()

@@ -1,9 +1,7 @@
 package repro.scan
 
 import org.apache.spark.SparkEnv
-import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.columnar.CachedBatch
 import org.apache.spark.sql.execution.columnar.InMemoryRelation
 import org.apache.spark.sql.functions.col
 import repro.SparkSpec
@@ -25,26 +23,27 @@ class CachedLayoutSpec extends SparkSpec {
     case other => fail(s"not cached as a whole: $other")
   }
 
-  /** The cached column buffers of a DataFrame cached as a whole. Call it
-    * only while the cache is live: on a dropped cache the getter rebuilds them.
-    */
-  private def buffers(data: DataFrame): RDD[CachedBatch] = builder(data).cachedColumnBuffers
-
   private def bits(got: Seq[(Long, Double)]): Seq[(Long, Long)] =
     got.map { case (id, d) => (id, java.lang.Double.doubleToLongBits(d)) }
 
   test("the CLIMBER and DPiSAX layouts cut their cached buffers' lineage") {
     val dpisax = DpiSax.index(spark, df, capacity = 200, paaW = 8, bits = 8, alpha = 0.3, seed = 3)
-    try for (data <- Seq(index.data, dpisax.data)) {
-      val b = buffers(data)
+    try for ((data, rows) <- Seq(index.data -> index.partRows, dpisax.data -> dpisax.partRows)) {
+      val b = Dss.buffers(data)
       assert(b.isCheckpointed)
       assert(spark.sparkContext.getPersistentRDDs.contains(b.id))
+      assert(rows.toSeq == data.rdd.mapPartitions(it => Iterator(it.size.toLong)).collect().toSeq)
     } finally dpisax.data.unpersist()
+  }
+
+  test("Dss.buffers fails on a DataFrame that is not read from a cache") {
+    val e = intercept[IllegalStateException](Dss.buffers(index.data.select("id")))
+    assert(e.getMessage.contains("not read from its cache"), e.getMessage)
   }
 
   test("a scan of a loaded cache decodes its buffers; a projection keeps its SQL plan") {
     val (direct, idx) = Dss.rows(index.data, columns)
-    assert(direct.dependencies.map(_.rdd) == Seq(buffers(index.data)))
+    assert(direct.dependencies.map(_.rdd) == Seq(Dss.buffers(index.data)))
     assert(idx == Seq(0, 1, 2))
     val projected = index.data.select("part", "series", "id")
     val (planned, pIdx) = Dss.rows(projected, columns)
@@ -85,7 +84,7 @@ class CachedLayoutSpec extends SparkSpec {
     val built = ClimberIndex.build(spark, df, params.copy(seed = 8))
     val q = SeriesGen.local("RandomWalk", 5L, 1)
     assert(ClimberQuery.knn(built, q, 10, ClimberQuery.Knn).head == ((5L, 0.0)))
-    val id = buffers(built.data).id
+    val id = Dss.buffers(built.data).id
     built.data.unpersist(blocking = true)
     assert(!sc.getPersistentRDDs.contains(id))
     val persisted = sc.getPersistentRDDs.keySet.toSet
@@ -101,7 +100,7 @@ class CachedLayoutSpec extends SparkSpec {
       assert(!builder(fresh).isCachedColumnBuffersLoaded)
       val q = SeriesGen.local("RandomWalk", 11L, 4)
       val (direct, _) = Dss.rows(fresh, Seq("id", "series"))
-      assert(direct.dependencies.map(_.rdd) == Seq(buffers(fresh)))
+      assert(direct.dependencies.map(_.rdd) == Seq(Dss.buffers(fresh)))
       val got = Dss.knn(fresh, q, 20)
       assert(got.head == ((11L, 0.0)))
       assert(builder(fresh).isCachedColumnBuffersLoaded)
