@@ -18,8 +18,6 @@ final case class PivotSet(vectors: Array[Array[Double]], prefixLen: Int) extends
   require(vectors.forall(_.length == vectors(0).length),
     s"pivots must share one PAA width, got widths ${vectors.map(_.length).distinct.mkString(", ")}")
 
-  def numPivots: Int = vectors.length
-
   /** PAA width of every pivot, and of every vector this set ranks. */
   def width: Int = vectors(0).length
 

@@ -102,7 +102,7 @@ object Workloads {
 
   /** A one-partition iSAX baseline (DPiSAX, TARDIS). */
   def baselineRun(bi: BaselineIndex, k: Int): Run = { (_, q) =>
-    val part = bi.router.route(BaselineCommon.wordOf(q, bi.paaW, bi.bits))
+    val part = bi.router.route(BaselineCommon.wordOf(q))
     (BaselineCommon.knn(bi, q, k).map(_._1), bi.partRows(part))
   }
 

@@ -23,8 +23,6 @@ trait WordRouter extends Serializable {
   */
 final case class BaselineIndex(
     name: String,
-    paaW: Int,
-    bits: Int,
     router: WordRouter,
     data: DataFrame,
     buildSec: Double,
@@ -34,16 +32,22 @@ final case class BaselineIndex(
 
 object BaselineCommon {
 
-  /** iSAX word of a raw series at `2^bits` cardinality. */
-  def wordOf(series: Array[Double], paaW: Int, bits: Int): Array[Int] =
-    Isax.word(Paa.of(series, paaW), bits)
+  /** Word length (PAA segments) of both baselines' iSAX words (§VII-A;
+    * §III-B: iSAX trees must keep the word length small).
+    */
+  val PaaW = 8
+
+  /** Bits per iSAX symbol: words at 2^8 cardinality. */
+  val Bits = 8
+
+  /** iSAX word of a raw series: `PaaW` symbols at `2^Bits` cardinality. */
+  def wordOf(series: Array[Double]): Array[Int] = Isax.word(Paa.of(series, PaaW), Bits)
 
   /** Build a baseline index: sample → words → `mkRouter` → re-distribute. */
-  def index(spark: SparkSession, df: DataFrame, name: String, paaW: Int, bits: Int,
-            alpha: Double, seed: Long,
+  def index(spark: SparkSession, df: DataFrame, name: String, alpha: Double, seed: Long,
             mkRouter: Seq[(Array[Int], Long)] => WordRouter): BaselineIndex = {
     val t0 = System.nanoTime()
-    val wordUdf = udf { (xs: Array[Double]) => wordOf(xs, paaW, bits) }
+    val wordUdf = udf { (xs: Array[Double]) => wordOf(xs) }
     val sampleWords = df.sample(withReplacement = false, alpha, seed)
       .select(wordUdf(col("series")).as("word"))
       .groupBy("word").count()
@@ -52,19 +56,16 @@ object BaselineCommon {
       .toSeq
     val router = mkRouter(sampleWords)
     val bc = spark.sparkContext.broadcast(router)
-    val routeUdf = udf { (xs: Array[Double]) => bc.value.route(wordOf(xs, paaW, bits)) }
+    val routeUdf = udf { (xs: Array[Double]) => bc.value.route(wordOf(xs)) }
     val (data, partRows) = Dss.cacheByPart(
       df.select(col("id"), col("series"), routeUdf(col("series")).as("part")), router.numPartitions)
     val buildSec = (System.nanoTime() - t0) / 1e9
-    BaselineIndex(name, paaW, bits, router, data, buildSec, ClimberIndex.serializedBytes(router),
-      partRows)
+    BaselineIndex(name, router, data, buildSec, ClimberIndex.serializedBytes(router), partRows)
   }
 
   /** Approximate kNN: route the query to its single partition and ED-rank
     * that partition's records.
     */
-  def knn(index: BaselineIndex, query: Array[Double], k: Int): Seq[(Long, Double)] = {
-    val part = index.router.route(wordOf(query, index.paaW, index.bits))
-    repro.core.ClimberQuery.scanTopK(index.data, "part", Array(part), query, k)
-  }
+  def knn(index: BaselineIndex, query: Array[Double], k: Int): Seq[(Long, Double)] =
+    Dss.topK(index.data, Some("part"), Seq(index.router.route(wordOf(query))), Array(query), k).head
 }

@@ -1,5 +1,7 @@
 package repro.isax
 
+import scala.annotation.tailrec
+
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** DPiSAX baseline [65]: massively distributed *partitioned* iSAX.
@@ -20,21 +22,17 @@ object DpiSax {
   final case class Split(segment: Int, bit: Int, zero: Node, one: Node) extends Node
 
   final case class Router(root: Node, bits: Int, numPartitions: Int) extends WordRouter {
-    def route(word: Array[Int]): Int = {
-      var n = root
-      while (true) {
-        n match {
-          case Leaf(p, _) => return p
-          case Split(s, b, z, o) =>
-            n = if (((word(s) >>> (bits - 1 - b)) & 1) == 0) z else o
-        }
-      }
-      -1 // unreachable
+    def route(word: Array[Int]): Int = descend(root, word)
+
+    @tailrec private def descend(n: Node, word: Array[Int]): Int = n match {
+      case Leaf(p, _) => p
+      case Split(s, b, z, o) => descend(if (((word(s) >>> (bits - 1 - b)) & 1) == 0) z else o, word)
     }
   }
 
   /** Build the split tree from sampled (word, estimated-count) pairs. */
-  def mkRouter(bits: Int, capacity: Long)(words: Seq[(Array[Int], Long)]): Router = {
+  def mkRouter(capacity: Long)(words: Seq[(Array[Int], Long)]): Router = {
+    val bits = BaselineCommon.Bits
     var nextPart = 0
     def bitOf(sym: Int, b: Int): Int = (sym >>> (bits - 1 - b)) & 1
 
@@ -52,25 +50,20 @@ object DpiSax {
         }
         val b = bitsUsed(best)
         val (zeros, ones) = members.partition { case (w, _) => bitOf(w(best), b) == 0 }
-        if (zeros.isEmpty || ones.isEmpty) {
-          // Degenerate split: mark the bit consumed and retry deeper.
-          val used = bitsUsed.clone(); used(best) = b + 1
-          build(members, used)
-        } else {
-          val used = bitsUsed.clone(); used(best) = b + 1
-          Split(best, b, build(zeros, used), build(ones, used))
-        }
+        val used = bitsUsed.clone(); used(best) = b + 1
+        // A degenerate split only consumes the bit and retries deeper.
+        if (zeros.isEmpty || ones.isEmpty) build(members, used)
+        else Split(best, b, build(zeros, used), build(ones, used))
       }
     }
     val root = build(words, new Array[Int](words.headOption.map(_._1.length).getOrElse(0)))
     Router(root, bits, nextPart)
   }
 
-  /** Default configuration: word length 8, cardinality 256 (§III-B: iSAX
-    * trees keep the word length small).
+  /** Index `df` on iSAX words of `BaselineCommon.PaaW` segments at
+    * `2^BaselineCommon.Bits` cardinality.
     */
-  def index(spark: SparkSession, df: DataFrame, capacity: Long, paaW: Int = 8,
-            bits: Int = 8, alpha: Double = 0.1, seed: Long = 11): BaselineIndex =
-    BaselineCommon.index(spark, df, "DPiSAX", paaW, bits, alpha, seed,
-      mkRouter(bits, capacity))
+  def index(spark: SparkSession, df: DataFrame, capacity: Long, alpha: Double = 0.1,
+            seed: Long = 11): BaselineIndex =
+    BaselineCommon.index(spark, df, "DPiSAX", alpha, seed, mkRouter(capacity))
 }

@@ -56,7 +56,8 @@ object Tardis {
     * partition, so a query's single partition holds the leaf's whole
     * symbol-space neighborhood, not just its own tiny leaf.
     */
-  def mkRouter(bits: Int, capacity: Long)(words: Seq[(Array[Int], Long)]): Router = {
+  def mkRouter(capacity: Long)(words: Seq[(Array[Int], Long)]): Router = {
+    val bits = BaselineCommon.Bits
     def build(members: Seq[(Array[Int], Long)], b: Int): Node = {
       val size = members.map(_._2).sum
       if (size <= capacity || b >= bits || members.size <= 1) {
@@ -65,7 +66,7 @@ object Tardis {
         val byKey = members.groupBy { case (w, _) => w.map(Isax.promote(_, bits, b + 1)).toVector }
         // A single-key refinement still descends (b strictly increases, so
         // this terminates at full cardinality at the latest).
-        val kids = byKey.toSeq.sortBy(_._1).map { case (k, mem) => k -> build(mem, b + 1) }.toMap
+        val kids = byKey.map { case (k, mem) => k -> build(mem, b + 1) }
         Node(b, size, -1, kids)
       }
     }
@@ -83,9 +84,8 @@ object Tardis {
     Router(packed, bits, cur + 1)
   }
 
-  /** Default configuration mirroring DPiSAX's (word length 8, card 256). */
-  def index(spark: SparkSession, df: DataFrame, capacity: Long, paaW: Int = 8,
-            bits: Int = 8, alpha: Double = 0.1, seed: Long = 13): BaselineIndex =
-    BaselineCommon.index(spark, df, "TARDIS", paaW, bits, alpha, seed,
-      mkRouter(bits, capacity))
+  /** Index `df` on the same iSAX words as DPiSAX. */
+  def index(spark: SparkSession, df: DataFrame, capacity: Long, alpha: Double = 0.1,
+            seed: Long = 13): BaselineIndex =
+    BaselineCommon.index(spark, df, "TARDIS", alpha, seed, mkRouter(capacity))
 }

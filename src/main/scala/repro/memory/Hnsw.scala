@@ -73,17 +73,14 @@ final class Hnsw(points: Array[Array[Double]], m: Int = 16, efConstruction: Int 
     result.toArray(new Array[(Double, Int)](0)).sortBy(_._1)
   }
 
-  /** Insert one node (thread-safe). */
-  private def insert(i: Int): Unit = {
-    val q = points(i)
-    val l = levels(i)
-    globalLock.synchronized {
-      if (entryPoint < 0) { entryPoint = i; topLevel = l; return }
-    }
-    var ep = entryPoint
-    var lc = topLevel
-    // Greedy descent above the node's level.
-    while (lc > l) {
+  /** Greedy descent from `start` through the layers `from` down to
+    * `above` + 1: on each layer, move to the closest neighbour of `q` until
+    * none is closer. Returns the entry point for layer `above`.
+    */
+  private def descend(q: Array[Double], start: Int, from: Int, above: Int): Int = {
+    var ep = start
+    var lc = from
+    while (lc > above) {
       var changed = true
       var best = dist(ep, q)
       while (changed) {
@@ -98,6 +95,17 @@ final class Hnsw(points: Array[Array[Double]], m: Int = 16, efConstruction: Int 
       }
       lc -= 1
     }
+    ep
+  }
+
+  /** Insert one node (thread-safe). */
+  private def insert(i: Int): Unit = {
+    val q = points(i)
+    val l = levels(i)
+    globalLock.synchronized {
+      if (entryPoint < 0) { entryPoint = i; topLevel = l; return }
+    }
+    var ep = descend(q, entryPoint, topLevel, l)
     // Beam insertion on the overlapping levels.
     var level = math.min(l, topLevel)
     while (level >= 0) {
@@ -148,24 +156,7 @@ final class Hnsw(points: Array[Array[Double]], m: Int = 16, efConstruction: Int 
 
   /** Approximate kNN: ids (graph indices) of the k closest, closest first. */
   def search(q: Array[Double], k: Int, ef: Int): Seq[(Int, Double)] = {
-    var ep = entryPoint
-    var lc = topLevel
-    while (lc > 0) {
-      var changed = true
-      var best = dist(ep, q)
-      while (changed) {
-        changed = false
-        val neigh = if (lc < adj(ep).length) adj(ep)(lc).get() else Array.empty[Int]
-        var j = 0
-        while (j < neigh.length) {
-          val d = dist(neigh(j), q)
-          if (d < best) { best = d; ep = neigh(j); changed = true }
-          j += 1
-        }
-      }
-      lc -= 1
-    }
-    searchLayer(q, ep, math.max(ef, k), 0)
+    searchLayer(q, descend(q, entryPoint, topLevel, 0), math.max(ef, k), 0)
       .take(k)
       .map { case (d, id) => (id, math.sqrt(d)) }
       .toSeq

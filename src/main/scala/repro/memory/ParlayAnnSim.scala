@@ -11,22 +11,30 @@ import org.apache.spark.sql.DataFrame
   * RAM, so the budget is half the simulated cluster's (the paper runs it on
   * only one of the two nodes) and Table I shows "X" earlier than Odyssey.
   */
-final class ParlayAnnSim(val ids: Array[Long], hnsw: Hnsw, efSearch: Int) {
+final class ParlayAnnSim private (val ids: Array[Long], hnsw: Hnsw) {
 
   def knn(query: Array[Double], k: Int): Seq[(Long, Double)] =
-    hnsw.search(query, k, math.max(efSearch, k + k / 4)).map { case (i, d) => (ids(i), d) }
+    hnsw.search(query, k, math.max(ParlayAnnSim.EfSearch, k + k / 4))
+      .map { case (i, d) => (ids(i), d) }
 }
 
 object ParlayAnnSim {
 
-  /** Build, honouring the single-node memory budget (in series). */
-  def build(data: DataFrame, nSeries: Long, budgetSeries: Long, m: Int = 16,
-            efConstruction: Int = 100, efSearch: Int = 600,
-            threads: Int = Runtime.getRuntime.availableProcessors(),
-            seed: Long = 1): Either[String, ParlayAnnSim] =
+  /** The one HNSW configuration Table I runs: neighbours per node, the
+    * construction and search beams, and the level seed.
+    */
+  private val M = 16
+  private val EfConstruction = 100
+  private val EfSearch = 600
+  private val Seed = 1L
+
+  /** Build on every core of the machine, honouring the single-node memory
+    * budget (in series).
+    */
+  def build(data: DataFrame, nSeries: Long, budgetSeries: Long): Either[String, ParlayAnnSim] =
     InMemory.load(data, nSeries, budgetSeries, "single-node budget").map { case (ids, pts) =>
-      val g = new Hnsw(pts, m, efConstruction, seed)
-      g.build(threads)
-      new ParlayAnnSim(ids, g, efSearch)
+      val g = new Hnsw(pts, M, EfConstruction, Seed)
+      g.build(Runtime.getRuntime.availableProcessors())
+      new ParlayAnnSim(ids, g)
     }
 }

@@ -5,12 +5,14 @@ import scala.util.hashing.MurmurHash3
 import org.apache.spark.sql.functions.{col, udf}
 
 import repro.core.{ClimberIndex, ClimberParams, ClimberQuery, SplitMix}
+import repro.isax.{BaselineCommon, BaselineIndex, DpiSax, Tardis}
 import repro.memory.Hnsw
 import repro.series.SeriesGen
 
 /** Exact outputs pinned as constants: generated series, Algorithm 1's
   * tie-break, the selected pivots, the serialized skeleton, index placement,
-  * query plans, kNN results and HNSW search.
+  * query plans, kNN results, the DPiSAX and TARDIS routers, layouts and kNN
+  * results, and HNSW search.
   * A refactor that moves any of them by one bit fails here.
   */
 class PinSpec extends SparkSpec {
@@ -96,5 +98,41 @@ class PinSpec extends SparkSpec {
       Seq(319, 294, 175, 287, 197, 225, 129, 59, 229, 6),
       Seq(464, 360, 308, 345, 101, 228, 244, 286, 350, 99),
       Seq(41, 431, 197, 379, 6, 487, 426, 179, 71, 26)))
+  }
+
+  // BaselinesSpec's data and settings (c = 200, α = 0.3, seed 3), split into
+  // four input partitions like the CLIMBER pins: the routers are built from
+  // a sample, which depends on the input partitioning.
+  private lazy val baselineData = spark.range(0, 2000, 1, 4).select(col("id"),
+    udf((id: Long) => SeriesGen.local("RandomWalk", id, 2)).apply(col("id")).as("series"))
+
+  /** The router's serialized size, a hash of the partitions it routes 200
+    * seeded full-precision words to, a hash of the sorted (id, part) rows,
+    * the rows per partition and a hash of kNN results for five queries.
+    */
+  private def baselinePin(bi: BaselineIndex): (Long, Int, Int, Seq[Long], Int) =
+    try {
+      val rng = new java.util.Random(17)
+      val routes = (1 to 200).map(_ => bi.router.route(Array.fill(8)(rng.nextInt(256))))
+      val rows = bi.data.select("id", "part").collect()
+        .map(r => (r.getLong(0), r.getInt(1))).sorted.toSeq
+      assert(rows.size == 2000)
+      val knn = (0L until 5L).map(i =>
+        BaselineCommon.knn(bi, SeriesGen.local("RandomWalk", i * 397 + 11, 2), 50))
+      (ClimberIndex.serializedBytes(bi.router), MurmurHash3.seqHash(routes), MurmurHash3.seqHash(rows),
+        bi.partRows.toSeq, MurmurHash3.seqHash(knn))
+    } finally bi.data.unpersist()
+
+  test("DPiSAX routing, layout and kNN are pinned") {
+    val got = baselinePin(DpiSax.index(spark, baselineData, capacity = 200, alpha = 0.3, seed = 3))
+    assert(got == ((696L, 784984336, 2144998360,
+      Seq(213L, 83L, 140L, 78L, 184L, 130L, 159L, 109L, 116L, 137L, 146L, 65L, 192L, 142L, 106L),
+      -1002817275)))
+  }
+
+  test("TARDIS routing, layout and kNN are pinned") {
+    val got = baselinePin(Tardis.index(spark, baselineData, capacity = 200, alpha = 0.3, seed = 3))
+    assert(got == ((14731L, -1088938254, -301865793,
+      Seq(225L, 171L, 260L, 220L, 268L, 228L, 221L, 32L, 203L, 172L), -2049930688)))
   }
 }

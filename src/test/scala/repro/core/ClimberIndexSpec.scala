@@ -120,7 +120,7 @@ class ClimberIndexSpec extends SparkSpec {
   }
 
   test("pivot count and prefix length follow the parameters") {
-    assert(index.pivots.numPivots == params.numPivots)
+    assert(index.pivots.vectors.length == params.numPivots)
     assert(index.pivots.prefixLen == params.prefixLen)
   }
 
@@ -130,7 +130,7 @@ class ClimberIndexSpec extends SparkSpec {
     // 60 series at α = 0.3 sample 16 rows for r = 200 pivots.
     val small = SeriesGen.generate(spark, "RandomWalk", 60, seed = 1)
     val si = ClimberIndex.build(spark, small, Workloads.benchParams.copy(alpha = 0.3))
-    assert(si.pivots.numPivots == 16)
+    assert(si.pivots.vectors.length == 16)
     assert(si.pivots.prefixLen == 10)
     val res = ClimberQuery.knn(si, SeriesGen.local("RandomWalk", 5, 1), 10, ClimberQuery.Adaptive(4), 5)
     assert(res.size == 10)
@@ -151,7 +151,7 @@ class ClimberIndexSpec extends SparkSpec {
     val same = spark.range(0, 500, 1, 4).select(col("id"),
       udf((_: Long) => SeriesGen.local("RandomWalk", 0, 1)).apply(col("id")).as("series"))
     val si = ClimberIndex.build(spark, same, Workloads.benchParams.copy(capacity = 50))
-    assert(si.pivots.numPivots == 1)
+    assert(si.pivots.vectors.length == 1)
     val parts = si.data.groupBy("part").count().collect().map(r => (r.getInt(0), r.getLong(1)))
     assert(parts.length == 1 && parts.head._2 == 500L)
     val res = ClimberQuery.knn(si, SeriesGen.local("RandomWalk", 0, 1), 10, ClimberQuery.Adaptive(4))

@@ -143,7 +143,7 @@ class PivotsSpec extends SparkSpec {
     val a = Pivots.select(df, "paa", 10, 4, seed = 1)
     val b = Pivots.select(df, "paa", 10, 4, seed = 1)
     val c = Pivots.select(df, "paa", 10, 4, seed = 2)
-    assert(a.numPivots == 10 && a.prefixLen == 4)
+    assert(a.vectors.length == 10 && a.prefixLen == 4)
     assert(a.vectors.map(_.toSeq).toSeq == b.vectors.map(_.toSeq).toSeq)
     assert(a.vectors.map(_.toSeq).toSeq != c.vectors.map(_.toSeq).toSeq)
   }
@@ -185,7 +185,7 @@ class PivotsSpec extends SparkSpec {
     val rows = Seq.fill(50)(Row(Array(1.5, -2.0, 0.25)))
     val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 3), schema)
     val ps = Pivots.select(df, "paa", 20, 4, seed = 1)
-    assert(ps.numPivots == 1 && ps.prefixLen == 1)
+    assert(ps.vectors.length == 1 && ps.prefixLen == 1)
     assert(ps.vectors.head.toSeq == Seq(1.5, -2.0, 0.25))
   }
 

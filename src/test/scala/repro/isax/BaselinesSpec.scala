@@ -8,10 +8,8 @@ import repro.series.SeriesGen
 class BaselinesSpec extends SparkSpec {
 
   private lazy val df = SeriesGen.generate(spark, "RandomWalk", 2000, seed = 2).cache()
-  private lazy val dpisax = DpiSax.index(spark, df, capacity = 200, paaW = 8, bits = 8,
-    alpha = 0.3, seed = 3)
-  private lazy val tardis = Tardis.index(spark, df, capacity = 200, paaW = 8, bits = 8,
-    alpha = 0.3, seed = 3)
+  private lazy val dpisax = DpiSax.index(spark, df, capacity = 200, alpha = 0.3, seed = 3)
+  private lazy val tardis = Tardis.index(spark, df, capacity = 200, alpha = 0.3, seed = 3)
   private lazy val queries = Seq(5L, 900L, 1500L).map(id =>
     (id, SeriesGen.local("RandomWalk", id, 2)))
 
@@ -39,7 +37,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("DPiSAX: a query routes to the same partition as its identical record") {
     for ((qid, q) <- queries) {
-      val p = dpisax.router.route(BaselineCommon.wordOf(q, 8, 8))
+      val p = dpisax.router.route(BaselineCommon.wordOf(q))
       val stored = dpisax.data.filter(col("id") === qid).select("part").head().getInt(0)
       assert(p == stored)
     }
@@ -81,7 +79,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("TARDIS: a query routes with its identical record") {
     for ((qid, q) <- queries) {
-      val p = tardis.router.route(BaselineCommon.wordOf(q, 8, 8))
+      val p = tardis.router.route(BaselineCommon.wordOf(q))
       val stored = tardis.data.filter(col("id") === qid).select("part").head().getInt(0)
       assert(p == stored)
     }

@@ -98,8 +98,7 @@ class HnswSpec extends SparkSpec {
   test("ParlayAnnSim honours the single-node budget (the Table I 'X')") {
     val df = SeriesGen.generate(spark, "RandomWalk", 100, seed = 1)
     assert(ParlayAnnSim.build(df, nSeries = 100, budgetSeries = 50).isLeft)
-    val built = ParlayAnnSim.build(df, 100, 200, m = 8, efConstruction = 40, efSearch = 32,
-      threads = 1)
+    val built = ParlayAnnSim.build(df, 100, 200)
     assert(built.isRight)
     val sim = built.toOption.get
     val q = SeriesGen.local("RandomWalk", 3L, 1)

@@ -27,7 +27,7 @@ class CachedLayoutSpec extends SparkSpec {
     got.map { case (id, d) => (id, java.lang.Double.doubleToLongBits(d)) }
 
   test("the CLIMBER and DPiSAX layouts cut their cached buffers' lineage") {
-    val dpisax = DpiSax.index(spark, df, capacity = 200, paaW = 8, bits = 8, alpha = 0.3, seed = 3)
+    val dpisax = DpiSax.index(spark, df, capacity = 200, alpha = 0.3, seed = 3)
     try for ((data, rows) <- Seq(index.data -> index.partRows, dpisax.data -> dpisax.partRows)) {
       val b = Dss.buffers(data)
       assert(b.isCheckpointed)
