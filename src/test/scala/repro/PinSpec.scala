@@ -109,6 +109,8 @@ class PinSpec extends SparkSpec {
   /** The router's serialized size, a hash of the partitions it routes 200
     * seeded full-precision words to, a hash of the sorted (id, part) rows,
     * the rows per partition and a hash of kNN results for five queries.
+    * At this size no tree splits on a symbol's 8th bit, so only the routed
+    * words show a change of the word's bits per symbol.
     */
   private def baselinePin(bi: BaselineIndex): (Long, Int, Int, Seq[Long], Int) =
     try {
