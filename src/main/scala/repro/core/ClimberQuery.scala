@@ -115,14 +115,17 @@ object ClimberQuery {
     * short: every one of those rows, closest first.
     *
     * `data` must be laid out one Spark partition per index partition (Spark
-    * partition id = `partCol`, as `ClimberIndex.build` and
+    * partition id = `part`, as `ClimberIndex.build` and
     * `BaselineCommon.index` lay it out): only the planned partitions are
     * read, one Spark task each. A partition id outside the data's partitions
     * is rejected, and a row found in the wrong partition fails the scan.
+    * `partCol` must be `"part"`, the one layout column `Dss.topK` checks.
     */
   def scanTopK(data: DataFrame, partCol: String, partitions: Array[Int],
-               query: Array[Double], k: Int): Seq[(Long, Double)] =
-    Dss.topK(data, Some(partCol), partitions.distinct.toSeq, Array(query), k).head
+               query: Array[Double], k: Int): Seq[(Long, Double)] = {
+    require(partCol == "part", s"the layout column is part, not $partCol")
+    Dss.topK(data, partitions.distinct.toSeq, Array(query), k).head
+  }
 
   /** End-to-end approximate kNN under a variant. */
   def knn(index: ClimberIndex, query: Array[Double], k: Int, variant: Variant,

@@ -67,5 +67,5 @@ object BaselineCommon {
     * that partition's records.
     */
   def knn(index: BaselineIndex, query: Array[Double], k: Int): Seq[(Long, Double)] =
-    Dss.topK(index.data, Some("part"), Seq(index.router.route(wordOf(query))), Array(query), k).head
+    Dss.topK(index.data, Seq(index.router.route(wordOf(query))), Array(query), k).head
 }

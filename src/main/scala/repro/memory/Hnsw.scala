@@ -15,8 +15,7 @@ import repro.core.{Distances, SplitMix}
   * `AtomicReference`, readers take lock-free snapshots, writers synchronise
   * per node.
   */
-final class Hnsw(points: Array[Array[Double]], m: Int = 16, efConstruction: Int = 100,
-                 seed: Long = 1) {
+final class Hnsw(points: Array[Array[Double]], m: Int, efConstruction: Int, seed: Long) {
   require(points.nonEmpty, "HNSW needs at least one point")
   private val nPoints = points.length
   private val mMax0 = 2 * m
@@ -142,7 +141,7 @@ final class Hnsw(points: Array[Array[Double]], m: Int = 16, efConstruction: Int 
   /** Build the graph; `threads` > 1 gives ParlayANN-style parallel
     * construction (graph then depends on interleaving; tests use 1 thread).
     */
-  def build(threads: Int = Runtime.getRuntime.availableProcessors()): Unit = {
+  def build(threads: Int): Unit = {
     insert(0)
     if (nPoints == 1) return
     if (threads <= 1) { (1 until nPoints).foreach(insert); return }

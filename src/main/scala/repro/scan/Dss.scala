@@ -26,7 +26,7 @@ object Dss {
     * (distance, id) ordering so ties never make recall flaky.
     */
   def knn(data: DataFrame, query: Array[Double], k: Int): Seq[(Long, Double)] =
-    scan(data, None, None, Array(query), k).head
+    scan(data, Array(query), k).head
 
   /** Exact kNN for a batch of queries in a single pass over every
     * partition, with one top-K per query. Returns qid → top-K record ids
@@ -35,7 +35,7 @@ object Dss {
     */
   def knnBatch(@unused spark: SparkSession, data: DataFrame,
                queries: Seq[(Long, Array[Double])], k: Int): Map[Long, Seq[Long]] = {
-    val res = scan(data, None, None, queries.map(_._2).toArray, k)
+    val res = scan(data, queries.map(_._2).toArray, k)
     queries.map(_._1).zip(res.map(_.map(_._1))).toMap
   }
 
@@ -68,14 +68,19 @@ object Dss {
   }
 
   /** The ED top-K kernel: one Spark job whose tasks run on `partitions` of
-    * `data` (columns id: long, series: array<double>, …) only. Each task
-    * ranks its rows per query and returns the first K as one sorted run of
-    * primitive arrays; the driver k-way merges the runs of each query and
-    * stops at K. Returns, per query, its top-K (id, distance) pairs in
-    * ascending (`java.lang.Double.compare` on distance, then id) order, so
+    * `data` (columns id: long, series: array<double>, part: int, …) only.
+    * Each task ranks its rows per query and returns the first K as one
+    * sorted run of primitive arrays; the driver k-way merges the runs of each
+    * query and stops at K. Returns, per query, its top-K (id, distance) pairs
+    * in ascending (`java.lang.Double.compare` on distance, then id) order, so
     * NaN sorts last (and comes back as `Double.NaN`). When the partitions
-    * hold fewer than K rows, every row is returned. A partition id outside
-    * `data`'s partitions is rejected.
+    * hold fewer than K rows, every row is returned.
+    *
+    * `data` must be laid out as [[cacheByPart]] lays it out, Spark partition
+    * id = `part`: a task that meets a row of another partition fails the
+    * job, so a mis-laid-out DataFrame cannot silently answer from wrong rows.
+    * Spark's `runJob` rejects a partition id outside `data`'s partitions
+    * with an `IllegalArgumentException`.
     *
     * The rows come from [[rows]]: a cached DataFrame's column buffers are
     * decoded directly, anything else is read through its SQL plan.
@@ -84,25 +89,20 @@ object Dss {
     * out first and gives the same bits. A stored series whose length differs
     * from a query's fails the job ("length mismatch", as
     * `Distances.euclidean`).
-    *
-    * With `partCol`, the data must be laid out with Spark partition id =
-    * `partCol`: a task that meets a row of another partition fails the job,
-    * so a mis-laid-out DataFrame cannot silently answer from wrong rows.
     */
-  def topK(data: DataFrame, partCol: Option[String], partitions: Seq[Int],
-           queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] =
-    scan(data, partCol, Some(partitions), queries, k)
+  def topK(data: DataFrame, partitions: Seq[Int],
+           queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] = {
+    val (rdd, idx) = rows(data, Seq("id", "series", "part"))
+    rank(rdd, new Rank(idx(0), idx(1), idx(2), queries, k), partitions)
+  }
 
-  /** `topK` on `partitions`, or on every partition when `None`. */
-  private def scan(data: DataFrame, partCol: Option[String], partitions: Option[Seq[Int]],
-                   queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] = {
-    val (rdd, idx) = rows(data, Seq("id", "series") ++ partCol)
-    val n = rdd.getNumPartitions
-    val parts = partitions.getOrElse(0 until n)
-    parts.find(p => p < 0 || p >= n).foreach(p =>
-      throw new IllegalArgumentException(s"partition $p outside [0, $n)"))
-    rank(rdd, new Rank(idx(0), idx(1), if (partCol.isDefined) idx(2) else -1, partCol.getOrElse(""),
-      queries, k), parts)
+  /** The `topK` kernel on every partition of any `data` (columns id: long,
+    * series: array<double>, …), with no layout check.
+    */
+  private[scan] def scan(data: DataFrame, queries: Array[Array[Double]],
+                         k: Int): Array[Seq[(Long, Double)]] = {
+    val (rdd, idx) = rows(data, Seq("id", "series"))
+    rank(rdd, new Rank(idx(0), idx(1), -1, queries, k), 0 until rdd.getNumPartitions)
   }
 
   /** The rows of `data` for a scan, with the ordinals of `columns` in them.
@@ -151,7 +151,7 @@ object Dss {
     * returns at once instead of re-reading this object's class file for
     * every job.
     */
-  private[scan] final class Rank(idIdx: Int, seriesIdx: Int, partIdx: Int, partName: String,
+  private[scan] final class Rank(idIdx: Int, seriesIdx: Int, partIdx: Int,
                                  val queries: Array[Array[Double]], val k: Int)
       extends ((TaskContext, Iterator[InternalRow]) => Array[Run]) with Serializable {
 
@@ -160,8 +160,8 @@ object Dss {
       while (rows.hasNext) {
         val row = rows.next()
         if (partIdx >= 0 && row.getInt(partIdx) != ctx.partitionId())
-          throw new IllegalStateException(s"row with $partName = ${row.getInt(partIdx)} " +
-            s"in Spark partition ${ctx.partitionId()}: the data is not laid out by $partName")
+          throw new IllegalStateException(s"row with part = ${row.getInt(partIdx)} " +
+            s"in Spark partition ${ctx.partitionId()}: the data is not laid out by part")
         val id = row.getLong(idIdx)
         val series = row.getArray(seriesIdx)
         val n = series.numElements()

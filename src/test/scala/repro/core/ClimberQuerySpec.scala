@@ -239,6 +239,11 @@ class ClimberQuerySpec extends SparkSpec {
       intercept[IllegalArgumentException](ClimberQuery.scanTopK(index.data, "part", Array(0, bad), q, 5))
   }
 
+  test("scanTopK rejects a layout column other than part") {
+    intercept[IllegalArgumentException](
+      ClimberQuery.scanTopK(index.data, "group", Array(0), queries.head._2, 5))
+  }
+
   test("scanTopK over data not laid out by partition fails instead of answering") {
     val q = queries.head._2
     val hashed = index.data.repartition(index.skeleton.numPartitions, col("id"))

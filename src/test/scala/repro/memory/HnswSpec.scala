@@ -83,8 +83,8 @@ class HnswSpec extends SparkSpec {
   }
 
   test("single-point graph works") {
-    val g = new Hnsw(points.take(1))
-    g.build()
+    val g = new Hnsw(points.take(1), m = 16, efConstruction = 100, seed = 1)
+    g.build(threads = Runtime.getRuntime.availableProcessors())
     assert(g.search(points(0), 1, 10).map(_._1) == Seq(0))
   }
 

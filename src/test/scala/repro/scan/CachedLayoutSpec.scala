@@ -60,12 +60,12 @@ class CachedLayoutSpec extends SparkSpec {
     def viaToRdd(data: DataFrame): Seq[Seq[(Long, Long)]] = {
       val s = data.schema
       Dss.rank(data.queryExecution.toRdd, new Dss.Rank(s.fieldIndex("id"), s.fieldIndex("series"),
-        s.fieldIndex("part"), "part", qs, 300), parts).map(bits).toSeq
+        s.fieldIndex("part"), qs, 300), parts).map(bits).toSeq
     }
-    val direct = Dss.topK(index.data, Some("part"), parts, qs, 300).map(bits).toSeq
+    val direct = Dss.topK(index.data, parts, qs, 300).map(bits).toSeq
     assert(direct == viaToRdd(index.data))
     for (data <- Seq(uncached, projected)) {
-      assert(Dss.topK(data, Some("part"), parts, qs, 300).map(bits).toSeq == direct)
+      assert(Dss.topK(data, parts, qs, 300).map(bits).toSeq == direct)
       assert(viaToRdd(data) == direct)
     }
   }
@@ -74,7 +74,7 @@ class CachedLayoutSpec extends SparkSpec {
     val (rdd, _) = Dss.rows(index.data, columns)
     val q = SeriesGen.local("RandomWalk", 3L, 1)
     assert(q.length == 256)
-    val task = new Dss.Rank(0, 1, 2, "part", Array(q), 500)
+    val task = new Dss.Rank(0, 1, 2, Array(q), 500)
     val bytes = SparkEnv.get.closureSerializer.newInstance().serialize((rdd, task): AnyRef).limit()
     assert(bytes < 10 * 1024, s"$bytes B")
   }
@@ -106,7 +106,7 @@ class CachedLayoutSpec extends SparkSpec {
       assert(builder(fresh).isCachedColumnBuffersLoaded)
       val plan = fresh.queryExecution.toRdd
       val s = fresh.schema
-      val viaToRdd = Dss.rank(plan, new Dss.Rank(s.fieldIndex("id"), s.fieldIndex("series"), -1, "",
+      val viaToRdd = Dss.rank(plan, new Dss.Rank(s.fieldIndex("id"), s.fieldIndex("series"), -1,
         Array(q), 20), 0 until plan.getNumPartitions).head
       assert(bits(got) == bits(viaToRdd))
     } finally fresh.unpersist()

@@ -144,7 +144,7 @@ class DssSpec extends SparkSpec {
         val ids = Array.tabulate(n)(i => rnd.nextInt(1000).toLong * 8192 + i)
         val queries = Array.fill(nq)(fresh())
         val one = series.indices.map(i => (ids(i), series(i))).toDF("id", "series").coalesce(1)
-        val got = Dss.topK(one, None, Seq(0), queries, k)
+        val got = Dss.scan(one, queries, k)
         queries.indices.forall { q =>
           val exp = series.indices.map(i => (ids(i), Distances.euclidean(series(i), queries(q))))
             .sortWith { case ((ia, da), (ib, db)) =>
@@ -184,14 +184,14 @@ class DssSpec extends SparkSpec {
     val generic = spark.sparkContext.parallelize[InternalRow]((0L until 500L).map(id =>
       new GenericInternalRow(Array[Any](id, new GenericArrayData(SeriesGen.local("RandomWalk", id, 6))))), 3)
     val qs = Array(SeriesGen.local("RandomWalk", 42L, 6), SeriesGen.local("RandomWalk", 7L, 6))
-    val got = Dss.rank(generic, new Dss.Rank(0, 1, -1, "", qs, 40), 0 until 3)
-    val exp = Dss.topK(df, None, 0 until df.queryExecution.toRdd.getNumPartitions, qs, 40)
+    val got = Dss.rank(generic, new Dss.Rank(0, 1, -1, qs, 40), 0 until 3)
+    val exp = Dss.scan(df, qs, 40)
     assert(got.map(bits).toSeq == exp.map(bits).toSeq)
   }
 
   test("the task runJob gets is a named Serializable class, which closure cleaning skips") {
     // `topK` runs its job through `Dss.rank`, whose task parameter is a `Rank`.
-    val task = new Dss.Rank(0, 1, -1, "", Array(Array(0.0)), 1)
+    val task = new Dss.Rank(0, 1, -1, Array(Array(0.0)), 1)
     val cls = task.getClass
     assert(task.isInstanceOf[java.io.Serializable])
     assert(!cls.isSynthetic && !cls.getName.contains("$anonfun$") && !cls.getName.contains("$Lambda"),
