@@ -9,8 +9,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.UnsafeArrayData
 import org.apache.spark.sql.columnar.CachedBatch
-import org.apache.spark.sql.execution.columnar.InMemoryRelation
+import org.apache.spark.sql.execution.columnar.{ColumnDecoder, DefaultCachedBatch, InMemoryRelation}
+import org.apache.spark.sql.execution.vectorized.OnHeapColumnVector
 import org.apache.spark.sql.functions.col
+import org.apache.spark.sql.types.{ArrayType, DoubleType, IntegerType, LongType}
 import org.apache.spark.unsafe.Platform
 
 /** Distributed Sequential Scan (§VII-A): the brute-force exact kNN baseline
@@ -82,41 +84,45 @@ object Dss {
     * Spark's `runJob` rejects a partition id outside `data`'s partitions
     * with an `IllegalArgumentException`.
     *
-    * The rows come from [[rows]]: a cached DataFrame's column buffers are
-    * decoded directly, anything else is read through its SQL plan.
-    * ED is read in place from a row's `UnsafeArrayData`, the form Spark's
-    * cache and scans hand out; a series in any other `ArrayData` is copied
-    * out first and gives the same bits. A stored series whose length differs
-    * from a query's fails the job ("length mismatch", as
-    * `Distances.euclidean`).
+    * The job is [[job]]'s: a cached DataFrame's column batches are ranked in
+    * place, anything else is read through its SQL plan. A stored series
+    * whose length differs from a query's fails the job ("length mismatch",
+    * as `Distances.euclidean`), and so does a null series.
     */
   def topK(data: DataFrame, partitions: Seq[Int],
-           queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] = {
-    val (rdd, idx) = rows(data, Seq("id", "series", "part"))
-    rank(rdd, new Rank(idx(0), idx(1), idx(2), queries, k), partitions)
-  }
+           queries: Array[Array[Double]], k: Int): Array[Seq[(Long, Double)]] =
+    job(data, checkPart = true, queries, k).run(partitions)
 
   /** The `topK` kernel on every partition of any `data` (columns id: long,
     * series: array<double>, …), with no layout check.
     */
   private[scan] def scan(data: DataFrame, queries: Array[Array[Double]],
                          k: Int): Array[Seq[(Long, Double)]] = {
-    val (rdd, idx) = rows(data, Seq("id", "series"))
-    rank(rdd, new Rank(idx(0), idx(1), -1, queries, k), 0 until rdd.getNumPartitions)
+    val j = job(data, checkPart = false, queries, k)
+    j.run(0 until j.rdd.getNumPartitions)
   }
 
-  /** The rows of `data` for a scan, with the ordinals of `columns` in them.
-    * For a DataFrame that is cached as a whole, its cached column buffers
-    * decoded into just `columns`: the tasks then carry the buffer RDD, not
-    * the SQL scan plan and its cache builder. Buffers not loaded yet are
-    * loaded by the scan, partition by partition, as a plan over the cache
-    * would load them. Any other DataFrame is read through its
-    * `queryExecution.toRdd`.
+  /** The scan job over `data`, whose tasks rank its rows against `queries`
+    * and check each row's `part` when `checkPart` is set. For a DataFrame
+    * that is cached as a whole, the job runs on the cache's own column
+    * batches ([[buffers]]) with a [[RankBatches]] task: the tasks then carry
+    * the buffer RDD, not the SQL scan plan and its cache builder, and read
+    * the batches without a generated accessor or a row copy. Batches not
+    * loaded yet are loaded by the scan, partition by partition, as a plan
+    * over the cache would load them. Any other DataFrame is read through its
+    * `queryExecution.toRdd`, with a [[Rank]] task.
     *
     * A DataFrame whose cache was dropped fails: reading it would silently
     * rebuild and re-persist the buffers.
     */
-  private[scan] def rows(data: DataFrame, columns: Seq[String]): (RDD[InternalRow], Seq[Int]) = {
+  private[scan] def job(data: DataFrame, checkPart: Boolean,
+                        queries: Array[Array[Double]], k: Int): Job[_] = {
+    val s = data.schema
+    val doubles = s("series").dataType match { case ArrayType(DoubleType, _) => true; case _ => false }
+    require(s("id").dataType == LongType && doubles && (!checkPart || s("part").dataType == IntegerType),
+      s"a scan reads id: long, series: array<double>${if (checkPart) " and part: int" else ""}, not $s")
+    val (id, series, part) = (s.fieldIndex("id"), s.fieldIndex("series"),
+      if (checkPart) s.fieldIndex("part") else -1)
     val qe = data.queryExecution
     qe.withCachedData match {
       case r: InMemoryRelation =>
@@ -131,57 +137,136 @@ object Dss {
             throw new IllegalStateException("the DataFrame's cache was dropped (unpersisted)")
           builder.cachedColumnBuffers
         }
-        val selected = columns.map(c => r.output(data.schema.fieldIndex(c)))
-        (builder.serializer.convertCachedBatchToInternalRow(buffers, r.output, selected,
-          session.sessionState.conf), columns.indices)
-      case _ => (qe.toRdd, columns.map(data.schema.fieldIndex))
+        // A cached batch holds one buffer per column of the relation, in
+        // `data`'s column order.
+        Job(buffers, new RankBatches(id, series, part, queries, k))
+      case _ => Job(qe.toRdd, new Rank(id, series, part, queries, k))
     }
   }
 
-  /** Run `task` on `partitions` of `rdd` and merge each query's runs. */
-  private[scan] def rank(rdd: RDD[InternalRow], task: Rank,
-                         partitions: Seq[Int]): Array[Seq[(Long, Double)]] = {
-    val perPartition = rdd.sparkContext.runJob(rdd, task, partitions)
-    Array.tabulate(task.queries.length)(q => merge(perPartition.map(_(q)), task.k))
+  /** A scan job: `task` on partitions of `rdd`. */
+  private[scan] final case class Job[T](rdd: RDD[T], task: Ranker[T]) {
+    /** Each partition's sorted runs, one per query. */
+    def runs(partitions: Seq[Int]): Array[Array[Run]] = rdd.sparkContext.runJob(rdd, task, partitions)
+
+    /** Each query's top-K over `partitions`: the merge of their runs. */
+    def run(partitions: Seq[Int]): Array[Seq[(Long, Double)]] = {
+      val perPartition = runs(partitions)
+      Array.tabulate(task.queries.length)(q => merge(perPartition.map(_(q)), task.k))
+    }
   }
 
-  /** The task `topK` runs on each partition: the ED of every row to every
-    * query, kept per query in a [[TopK]], returned as sorted runs. It is a
-    * named class rather than a lambda so that `runJob`'s closure cleaner
-    * returns at once instead of re-reading this object's class file for
-    * every job.
+  /** The task a scan job runs on each partition of `T`s: the ED of every
+    * row to every query, kept per query in a [[TopK]], returned as sorted
+    * runs. Its subclasses are named classes rather than lambdas so that
+    * `runJob`'s closure cleaner returns at once instead of re-reading this
+    * object's class file for every job. A subclass given a `part` column
+    * (`partIdx` ≥ 0) checks that each row's `part` is its task's partition.
     */
-  private[scan] final class Rank(idIdx: Int, seriesIdx: Int, partIdx: Int,
-                                 val queries: Array[Array[Double]], val k: Int)
-      extends ((TaskContext, Iterator[InternalRow]) => Array[Run]) with Serializable {
+  private[scan] sealed abstract class Ranker[T](val queries: Array[Array[Double]], val k: Int)
+      extends ((TaskContext, Iterator[T]) => Array[Run]) with Serializable {
 
-    def apply(ctx: TaskContext, rows: Iterator[InternalRow]): Array[Run] = {
+    final def apply(ctx: TaskContext, items: Iterator[T]): Array[Run] = {
       val tops = Array.fill(queries.length)(new TopK(k))
-      while (rows.hasNext) {
-        val row = rows.next()
-        if (partIdx >= 0 && row.getInt(partIdx) != ctx.partitionId())
-          throw new IllegalStateException(s"row with part = ${row.getInt(partIdx)} " +
-            s"in Spark partition ${ctx.partitionId()}: the data is not laid out by part")
-        val id = row.getLong(idIdx)
-        val series = row.getArray(seriesIdx)
-        val n = series.numElements()
-        var base: AnyRef = null
-        var offset = 0L
-        series match {
-          case u: UnsafeArrayData =>
-            base = u.getBaseObject
-            offset = u.getBaseOffset + UnsafeArrayData.calculateHeaderPortionInBytes(n)
-          case other =>
-            base = other.toDoubleArray()
-            offset = Platform.DOUBLE_ARRAY_OFFSET
-        }
-        var q = 0
-        while (q < queries.length) {
-          tops(q).offer(euclidean(base, offset, n, queries(q)), id); q += 1
-        }
-      }
+      while (items.hasNext) rank(items.next(), ctx.partitionId(), tops)
       tops.map(_.sortedRun())
     }
+
+    /** Offer every row of `item`, which `partition`'s task reads, to `tops`. */
+    protected def rank(item: T, partition: Int, tops: Array[TopK]): Unit
+
+    protected final def checkPart(part: Int, partition: Int): Unit =
+      if (part != partition)
+        throw new IllegalStateException(s"row with part = $part " +
+          s"in Spark partition $partition: the data is not laid out by part")
+
+    protected final def nullSeries(id: Long): Nothing =
+      throw new IllegalStateException(s"the series of id $id is null")
+
+    /** Offer row `id`, whose series of `n` doubles lies in `base` at
+      * `offset`, to every query's top-K.
+      */
+    protected final def offer(tops: Array[TopK], id: Long, base: AnyRef, offset: Long, n: Int): Unit = {
+      var q = 0
+      while (q < queries.length) {
+        tops(q).offer(euclidean(base, offset, n, queries(q)), id); q += 1
+      }
+    }
+  }
+
+  /** The task over `InternalRow`s (the `toRdd` path). ED is read in place
+    * from a row's `UnsafeArrayData`, the form Spark's scans hand out; a
+    * series in any other `ArrayData` is copied out first and gives the same
+    * bits.
+    */
+  private[scan] final class Rank(idIdx: Int, seriesIdx: Int, partIdx: Int,
+                                 queries: Array[Array[Double]], k: Int)
+      extends Ranker[InternalRow](queries, k) {
+
+    protected def rank(row: InternalRow, partition: Int, tops: Array[TopK]): Unit = {
+      if (partIdx >= 0) checkPart(row.getInt(partIdx), partition)
+      val id = row.getLong(idIdx)
+      if (row.isNullAt(seriesIdx)) nullSeries(id)
+      row.getArray(seriesIdx) match {
+        case u: UnsafeArrayData =>
+          val n = u.numElements()
+          offer(tops, id, u.getBaseObject, u.getBaseOffset + UnsafeArrayData.calculateHeaderPortionInBytes(n), n)
+        case other =>
+          val copy = other.toDoubleArray()
+          offer(tops, id, copy, Platform.DOUBLE_ARRAY_OFFSET, copy.length)
+      }
+    }
+  }
+
+  /** The task over a cache's `DefaultCachedBatch`es, each ranked in place.
+    * `id` and `part` are decoded by Spark's own column decoder
+    * ([[ColumnDecoder]]) into on-heap vectors. The series column is not
+    * compressed: its buffer is the null count, the null rows' positions,
+    * then per non-null row its byte count and its `UnsafeArrayData` bytes,
+    * whose doubles ED reads in place. A null series, a row whose byte count
+    * disagrees with its element count, and a buffer that does not end after
+    * the batch's last row fail the job, so a changed Spark format cannot
+    * answer from misread bytes.
+    */
+  private[scan] final class RankBatches(idIdx: Int, seriesIdx: Int, partIdx: Int,
+                                        queries: Array[Array[Double]], k: Int)
+      extends Ranker[CachedBatch](queries, k) {
+
+    protected def rank(batch: CachedBatch, partition: Int, tops: Array[TopK]): Unit = batch match {
+      case b: DefaultCachedBatch =>
+        val rows = b.numRows
+        val ids = new OnHeapColumnVector(rows, LongType)
+        ColumnDecoder.decompress(b.buffers(idIdx), ids, LongType, rows)
+        if (partIdx >= 0) {
+          val parts = new OnHeapColumnVector(rows, IntegerType)
+          ColumnDecoder.decompress(b.buffers(partIdx), parts, IntegerType, rows)
+          var i = 0
+          while (i < rows) { checkPart(parts.getInt(i), partition); i += 1 }
+        }
+        val bytes = b.buffers(seriesIdx)
+        val start = Platform.BYTE_ARRAY_OFFSET.toLong
+        val end = start + bytes.length
+        if (Platform.getInt(bytes, start) > 0) nullSeries(ids.getLong(Platform.getInt(bytes, start + 4)))
+        var pos = start + 4
+        var i = 0
+        while (i < rows) {
+          if (pos + 12 > end) badLayout(i, rows)
+          val size = Platform.getInt(bytes, pos)
+          val n = Platform.getLong(bytes, pos + 4)
+          // n doubles take the array's header and 8n bytes.
+          if (n < 0 || n > Int.MaxValue || size != UnsafeArrayData.calculateHeaderPortionInBytes(n) + 8 * n ||
+              pos + 4 + size > end) badLayout(i, rows)
+          offer(tops, ids.getLong(i), bytes, pos + 4 + size - 8 * n, n.toInt)
+          pos += 4 + size
+          i += 1
+        }
+        if (pos != end) badLayout(rows, rows)
+      case other => throw new IllegalStateException(
+        s"a cached batch of ${other.getClass.getName}: only Spark's default cache serializer is read")
+    }
+
+    private def badLayout(row: Int, rows: Int): Nothing = throw new IllegalStateException(
+      s"the cached series column does not hold $rows UnsafeArrayData rows (at row $row)")
   }
 
   /** `Distances.euclidean(x, y)` with `x`, of length `n`, read in place from
@@ -231,7 +316,7 @@ object Dss {
     * becomes the bound a later pair must precede to be buffered, so memory
     * stays O(k) and most rows cost one comparison.
     */
-  private final class TopK(k: Int) {
+  private[scan] final class TopK(k: Int) {
     private val cap = math.min(math.max(2L * k, 1024L), Int.MaxValue - 8L).toInt
     private val keys = new Array[Long](cap)
     private val ids = new Array[Long](cap)

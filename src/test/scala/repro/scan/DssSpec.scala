@@ -143,15 +143,21 @@ class DssSpec extends SparkSpec {
         series(rnd.nextInt(n)) = Array.fill(dim)(Double.NaN)
         val ids = Array.tabulate(n)(i => rnd.nextInt(1000).toLong * 8192 + i)
         val queries = Array.fill(nq)(fresh())
-        val one = series.indices.map(i => (ids(i), series(i))).toDF("id", "series").coalesce(1)
-        val got = Dss.scan(one, queries, k)
+        def one() = series.indices.map(i => (ids(i), series(i))).toDF("id", "series").coalesce(1)
+        // Once uncached (the toRdd path), then cached (the batch reader).
+        val uncached = Dss.scan(one(), queries, k)
+        val cached = one().cache()
+        val got = try {
+          assert(Dss.job(cached, checkPart = false, queries, k).task.isInstanceOf[Dss.RankBatches])
+          Dss.scan(cached, queries, k)
+        } finally cached.unpersist()
         queries.indices.forall { q =>
           val exp = series.indices.map(i => (ids(i), Distances.euclidean(series(i), queries(q))))
             .sortWith { case ((ia, da), (ib, db)) =>
               val c = java.lang.Double.compare(da, db); c < 0 || (c == 0 && ia < ib)
             }
             .take(k)
-          bits(got(q)) == bits(exp)
+          bits(uncached(q)) == bits(exp) && bits(got(q)) == bits(exp)
         }
       })
     assert(res.passed, res.status.toString)
@@ -184,20 +190,22 @@ class DssSpec extends SparkSpec {
     val generic = spark.sparkContext.parallelize[InternalRow]((0L until 500L).map(id =>
       new GenericInternalRow(Array[Any](id, new GenericArrayData(SeriesGen.local("RandomWalk", id, 6))))), 3)
     val qs = Array(SeriesGen.local("RandomWalk", 42L, 6), SeriesGen.local("RandomWalk", 7L, 6))
-    val got = Dss.rank(generic, new Dss.Rank(0, 1, -1, qs, 40), 0 until 3)
+    val got = Dss.Job(generic, new Dss.Rank(0, 1, -1, qs, 40)).run(0 until 3)
     val exp = Dss.scan(df, qs, 40)
     assert(got.map(bits).toSeq == exp.map(bits).toSeq)
   }
 
   test("the task runJob gets is a named Serializable class, which closure cleaning skips") {
-    // `topK` runs its job through `Dss.rank`, whose task parameter is a `Rank`.
-    val task = new Dss.Rank(0, 1, -1, Array(Array(0.0)), 1)
-    val cls = task.getClass
-    assert(task.isInstanceOf[java.io.Serializable])
-    assert(!cls.isSynthetic && !cls.getName.contains("$anonfun$") && !cls.getName.contains("$Lambda"),
-      cls.getName)
-    // Spark recognises a Scala lambda by its serialization proxy.
-    assert(!cls.getDeclaredMethods.exists(_.getName == "writeReplace"))
+    // `topK` runs its job through a `Dss.Job`, whose task is a `Rank` or a `RankBatches`.
+    for (task <- Seq(new Dss.Rank(0, 1, -1, Array(Array(0.0)), 1),
+                     new Dss.RankBatches(0, 1, -1, Array(Array(0.0)), 1))) {
+      val cls = task.getClass
+      assert(task.isInstanceOf[java.io.Serializable])
+      assert(!cls.isSynthetic && !cls.getName.contains("$anonfun$") && !cls.getName.contains("$Lambda"),
+        cls.getName)
+      // Spark recognises a Scala lambda by its serialization proxy.
+      assert(!cls.getDeclaredMethods.exists(_.getName == "writeReplace"))
+    }
   }
 
   test("Dss exact top-k agrees with a DuckDB SQL formulation (oracle)") {
